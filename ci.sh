@@ -10,6 +10,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The thermal field digests and the energy-balance invariant pin float
+# arithmetic, so they also run under the optimised code users get.
+echo "==> cargo test --release -q -p thermal"
+cargo test --release -q -p thermal
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -7,14 +7,22 @@
 //! Sweeps use **red-black ordering**: cells are two-coloured by
 //! `(x + y + z) % 2`, and each half-sweep updates one colour. Under the
 //! 7-point stencil every neighbour of a cell has the opposite colour, so
-//! all updates within a half-sweep are independent — rows can run on any
-//! number of workers ([`techlib::par::thread_count`]) and the arithmetic
-//! (and therefore the converged field) is bit-identical regardless of
-//! worker count or row order.
+//! the order in which a half-sweep visits its cells does not change a
+//! bit of the converged field.
+//!
+//! The sweep is **sequential by design**. The face conductances and each
+//! cell's conductance sum are evaluated once per solve (same expressions
+//! and summation order as a per-cell evaluation, so the same bits), and
+//! both half-sweeps run as a plain loop on the calling thread. Grids of
+//! 2.5–17 k cells are too small to pay for threads per half-sweep: a
+//! row-parallel version of this sweep (one scoped-thread fan-out per
+//! half-sweep) was slower at 2 workers than at 1 — 3.26 s against 2.28 s
+//! for the six packaged techs' default solves on a 2-vCPU box — and this
+//! loop takes 0.3–0.5 s there. Parallelism lives one level up, across
+//! technologies and scenarios.
 
 use crate::model::{ThermalModel, CELL_XY_M};
 use crate::{ThermalError, AMBIENT_C};
-use std::cell::UnsafeCell;
 
 /// Fixed lateral "board spreading" conductance distributed over the
 /// bottom face, W/K — models heat escaping into the motherboard beyond
@@ -131,8 +139,9 @@ impl TemperatureField {
 /// # Errors
 ///
 /// Returns [`ThermalError::NoConvergence`] if the SOR sweep hits
-/// `config.max_iters` before the max per-sweep update drops below
-/// `config.tolerance_k`.
+/// `config.max_iters` before the largest per-sweep temperature update
+/// drops below `config.tolerance_k`. That update is not a residual: under
+/// over-relaxation a small update does not bound the error.
 pub fn solve(model: &ThermalModel, config: &SolveConfig) -> Result<TemperatureField, ThermalError> {
     solve_with_boundaries(model, config, &Boundaries::default())
 }
@@ -141,30 +150,12 @@ pub fn solve(model: &ThermalModel, config: &SolveConfig) -> Result<TemperatureFi
 ///
 /// # Errors
 ///
-/// Same as [`solve`].
+/// Same as [`solve`], plus the `thermal.sor` fault site, which reports a
+/// zero-iteration non-convergence without sweeping.
 pub fn solve_with_boundaries(
     model: &ThermalModel,
     config: &SolveConfig,
     bounds: &Boundaries,
-) -> Result<TemperatureField, ThermalError> {
-    solve_with_workers(model, config, bounds, techlib::par::thread_count())
-}
-
-/// [`solve_with_boundaries`] with an explicit worker count (for the
-/// worker-invariance tests and benchmarks). The returned field is
-/// bit-identical for every `workers` value — including the error path:
-/// convergence is judged on the deterministic residual, so every worker
-/// count reports the same [`ThermalError::NoConvergence`].
-///
-/// # Errors
-///
-/// Same as [`solve`], plus the `thermal.sor` fault site (which reports a
-/// zero-iteration non-convergence without sweeping).
-pub fn solve_with_workers(
-    model: &ThermalModel,
-    config: &SolveConfig,
-    bounds: &Boundaries,
-    workers: usize,
 ) -> Result<TemperatureField, ThermalError> {
     if techlib::faults::armed("thermal.sor") {
         return Err(ThermalError::NoConvergence {
@@ -173,30 +164,174 @@ pub fn solve_with_workers(
             tolerance_k: config.tolerance_k,
         });
     }
-    let (field, residual_k) = sor_sweeps(model, config, bounds, workers);
-    if residual_k < config.tolerance_k {
+    let (field, max_update_k) = sor_sweeps(model, config, bounds);
+    if max_update_k < config.tolerance_k {
         Ok(field)
     } else {
         Err(ThermalError::NoConvergence {
             iterations: field.iterations,
-            residual_k,
+            residual_k: max_update_k,
             tolerance_k: config.tolerance_k,
         })
     }
 }
 
-/// Runs the SOR sweeps and returns whatever field the iteration cap
-/// allows, converged or not — the escape hatch for worker-invariance
-/// tests and benchmarks that deliberately under-iterate. Prefer
-/// [`solve_with_workers`], which turns a non-converged field into a
-/// typed error.
-pub fn solve_capped_with_workers(
-    model: &ThermalModel,
-    config: &SolveConfig,
-    bounds: &Boundaries,
-    workers: usize,
-) -> TemperatureField {
-    sor_sweeps(model, config, bounds, workers).0
+/// The 7-point stencil of one model, evaluated once per solve on a grid
+/// padded with one ghost cell on every side. Ghost cells hold
+/// [`AMBIENT_C`] and are never updated, so a boundary face is an
+/// ordinary face whose conductance is the convection (or board) term and
+/// whose far temperature is ambient — every cell runs the same update.
+///
+/// Padded cell `p` sits at `(x, y, z) + 1`. `gx[p]`, `gy[p]` and `gz[p]`
+/// are the conductances of its `x+1`, `y+1` and `z+1` faces, so the
+/// `x-1` face of `p` is `gx[p - 1]` (and likewise in y and z).
+struct Stencil {
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    /// Padded y stride.
+    sy: usize,
+    /// Padded z stride.
+    sz: usize,
+    gx: Vec<f64>,
+    gy: Vec<f64>,
+    gz: Vec<f64>,
+    /// Sum of the six face conductances of each interior cell.
+    g_sum: Vec<f64>,
+    /// Injected power per cell, W (the update's initial flux).
+    power: Vec<f64>,
+}
+
+impl Stencil {
+    fn new(model: &ThermalModel, bounds: &Boundaries) -> Stencil {
+        let (nx, ny, nz) = (model.nx, model.ny, model.nz());
+        let (sy, sz) = (nx + 2, (nx + 2) * (ny + 2));
+        let len = sz * (nz + 2);
+        let pad = |x: usize, y: usize, z: usize| (z + 1) * sz + (y + 1) * sy + x + 1;
+        let a_xy = CELL_XY_M * CELL_XY_M;
+        let n_bottom = (nx * ny) as f64;
+
+        // Lateral G between (x,y,z) and (x+1,y,z): harmonic mean over dx.
+        let g_lat = |z: usize, i: usize, j: usize| -> f64 {
+            let k1 = model.k_xy[z][i];
+            let k2 = model.k_xy[z][j];
+            let area = model.dz_m[z] * CELL_XY_M;
+            area / (CELL_XY_M / (2.0 * k1) + CELL_XY_M / (2.0 * k2))
+        };
+        // Vertical G between layer z and z+1 at cell i.
+        let g_vert = |z: usize, i: usize| -> f64 {
+            let k1 = model.k_z[z][i];
+            let k2 = model.k_z[z + 1][i];
+            a_xy / (model.dz_m[z] / (2.0 * k1) + model.dz_m[z + 1] / (2.0 * k2))
+        };
+
+        let mut gx = vec![0.0; len];
+        let mut gy = vec![0.0; len];
+        let mut gz = vec![0.0; len];
+        let mut g_sum = vec![0.0; len];
+        let mut power = vec![0.0; len];
+        for z in 0..nz {
+            let g_side = bounds.h_side * model.dz_m[z] * CELL_XY_M;
+            for y in 0..ny {
+                // The x-1 face of the row's first cell is a side wall.
+                gx[pad(0, y, z) - 1] = g_side;
+                for x in 0..nx {
+                    let i = y * nx + x;
+                    let p = pad(x, y, z);
+                    if y == 0 {
+                        gy[p - sy] = g_side;
+                    }
+                    if z == 0 {
+                        gz[p - sz] =
+                            bounds.h_bottom * a_xy + bounds.board_spread_w_per_k / n_bottom;
+                    }
+                    gx[p] = if x + 1 < nx {
+                        g_lat(z, i, i + 1)
+                    } else {
+                        g_side
+                    };
+                    gy[p] = if y + 1 < ny {
+                        g_lat(z, i, i + nx)
+                    } else {
+                        g_side
+                    };
+                    gz[p] = if z + 1 < nz {
+                        g_vert(z, i)
+                    } else {
+                        let h = if model.top_die_mask[i] {
+                            bounds.h_top_die
+                        } else {
+                            bounds.h_top
+                        };
+                        h * a_xy
+                    };
+                    // Summed from zero in the update's face order: x+1,
+                    // x-1, y+1, y-1, z+1, z-1. Every x-1/y-1/z-1 face is
+                    // already set, by an earlier cell or a boundary write above.
+                    g_sum[p] = 0.0 + gx[p] + gx[p - 1] + gy[p] + gy[p - sy] + gz[p] + gz[p - sz];
+                    power[p] = model.power[z][i];
+                }
+            }
+        }
+
+        Stencil {
+            nx,
+            ny,
+            nz,
+            sy,
+            sz,
+            gx,
+            gy,
+            gz,
+            g_sum,
+            power,
+        }
+    }
+
+    /// Over-relaxes every cell with `(x + y + z) % 2 == color` in place and
+    /// returns the largest update, K. Every neighbour of such a cell has
+    /// the other colour, so the visiting order does not change a bit.
+    fn half_sweep(&self, t: &mut [f64], color: usize, omega: f64) -> f64 {
+        let (nx, sy, sz) = (self.nx, self.sy, self.sz);
+        let mut max_delta: f64 = 0.0;
+        for z in 0..self.nz {
+            for y in 0..self.ny {
+                // Padded row of the cells being updated, ghosts included.
+                let row = (z + 1) * sz + (y + 1) * sy;
+                let (below, rest) = t.split_at_mut(row);
+                let (mid, above) = rest.split_at_mut(sy);
+                let south = &below[row - sy..];
+                let down = &below[row - sz..row - sz + sy];
+                let north = &above[..sy];
+                let up = &above[sz - sy..sz];
+                let gx = &self.gx[row..row + sy];
+                let gy_n = &self.gy[row..row + sy];
+                let gy_s = &self.gy[row - sy..row];
+                let gz_u = &self.gz[row..row + sy];
+                let gz_d = &self.gz[row - sz..row - sz + sy];
+                let power = &self.power[row..row + sy];
+                let g_sum = &self.g_sum[row..row + sy];
+                for x in (1 + (color + y + z) % 2..=nx).step_by(2) {
+                    let mut flux = power[x];
+                    flux += gx[x] * mid[x + 1];
+                    flux += gx[x - 1] * mid[x - 1];
+                    flux += gy_n[x] * north[x];
+                    flux += gy_s[x] * south[x];
+                    flux += gz_u[x] * up[x];
+                    flux += gz_d[x] * down[x];
+                    let t_old = mid[x];
+                    let t_new = flux / g_sum[x];
+                    let t_relaxed = t_old + omega * (t_new - t_old);
+                    let delta = (t_relaxed - t_old).abs();
+                    if delta > max_delta {
+                        max_delta = delta;
+                    }
+                    mid[x] = t_relaxed;
+                }
+            }
+        }
+        max_delta
+    }
 }
 
 /// Red-black SOR core: returns the field plus the max per-sweep update
@@ -205,155 +340,39 @@ fn sor_sweeps(
     model: &ThermalModel,
     config: &SolveConfig,
     bounds: &Boundaries,
-    workers: usize,
 ) -> (TemperatureField, f64) {
-    let (nx, ny, nz) = (model.nx, model.ny, model.nz());
-    let a_xy = CELL_XY_M * CELL_XY_M;
-    let n_bottom = (nx * ny) as f64;
-
-    // Precompute conductances.
-    // Lateral G between (x,y,z) and (x+1,y,z): harmonic mean over dx.
-    let g_lat = |z: usize, i: usize, j: usize| -> f64 {
-        let k1 = model.k_xy[z][i];
-        let k2 = model.k_xy[z][j];
-        let area = model.dz_m[z] * CELL_XY_M;
-        area / (CELL_XY_M / (2.0 * k1) + CELL_XY_M / (2.0 * k2))
-    };
-    // Vertical G between layer z and z+1 at cell i.
-    let g_vert = |z: usize, i: usize| -> f64 {
-        let k1 = model.k_z[z][i];
-        let k2 = model.k_z[z + 1][i];
-        a_xy / (model.dz_m[z] / (2.0 * k1) + model.dz_m[z + 1] / (2.0 * k2))
-    };
-
-    // Temperature cells shared across row workers during a half-sweep.
-    //
-    // SAFETY (for both unsafe blocks below): a half-sweep writes only
-    // cells of the active colour, each `(z, y)` row appears exactly once
-    // in `rows` so every written cell belongs to exactly one task, and
-    // every read is either the task's own cell or an opposite-colour
-    // neighbour that no task writes during this half-sweep. The scope
-    // inside `ordered_map_with` joins all workers between half-sweeps.
-    struct SharedField(Vec<UnsafeCell<f64>>);
-    unsafe impl Sync for SharedField {}
-
-    let cells = nx * ny;
-    let field = SharedField(
-        (0..nz * cells)
-            .map(|_| UnsafeCell::new(AMBIENT_C))
-            .collect(),
-    );
-    let rows: Vec<(usize, usize)> = (0..nz).flat_map(|z| (0..ny).map(move |y| (z, y))).collect();
+    let stencil = Stencil::new(model, bounds);
+    let mut t = vec![AMBIENT_C; stencil.g_sum.len()];
 
     let mut iterations = 0;
     let mut last_delta = f64::INFINITY;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        let mut max_delta: f64 = 0.0;
-        for color in 0..2usize {
-            // Capture the Sync wrapper, not its inner Vec (edition-2021
-            // closures would otherwise capture `field.0` directly).
-            let field = &field;
-            let read = move |node: usize| unsafe { *field.0[node].get() };
-            let deltas = techlib::par::ordered_map_with(workers, &rows, |&(z, y)| {
-                let zoff = z * cells;
-                let mut row_delta: f64 = 0.0;
-                let mut x = (color + y + z) % 2;
-                while x < nx {
-                    let i = y * nx + x;
-                    let mut g_sum = 0.0;
-                    let mut flux = model.power[z][i];
-
-                    // Lateral neighbours (or side convection at walls).
-                    if x + 1 < nx {
-                        let g = g_lat(z, i, i + 1);
-                        g_sum += g;
-                        flux += g * read(zoff + i + 1);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if x > 0 {
-                        let g = g_lat(z, i - 1, i);
-                        g_sum += g;
-                        flux += g * read(zoff + i - 1);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if y + 1 < ny {
-                        let g = g_lat(z, i, i + nx);
-                        g_sum += g;
-                        flux += g * read(zoff + i + nx);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if y > 0 {
-                        let g = g_lat(z, i - nx, i);
-                        g_sum += g;
-                        flux += g * read(zoff + i - nx);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-
-                    // Vertical neighbours / top+bottom boundaries.
-                    if z + 1 < nz {
-                        let g = g_vert(z, i);
-                        g_sum += g;
-                        flux += g * read(zoff + cells + i);
-                    } else {
-                        let h = if model.top_die_mask[i] {
-                            bounds.h_top_die
-                        } else {
-                            bounds.h_top
-                        };
-                        let g = h * a_xy;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if z > 0 {
-                        let g = g_vert(z - 1, i);
-                        g_sum += g;
-                        flux += g * read(zoff - cells + i);
-                    } else {
-                        let g = bounds.h_bottom * a_xy + bounds.board_spread_w_per_k / n_bottom;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-
-                    let t_old = read(zoff + i);
-                    let t_new = flux / g_sum;
-                    let t_relaxed = t_old + config.omega * (t_new - t_old);
-                    row_delta = row_delta.max((t_relaxed - t_old).abs());
-                    unsafe { *field.0[zoff + i].get() = t_relaxed };
-                    x += 2;
-                }
-                row_delta
-            });
-            // f64::max is commutative and associative (no NaNs here), so
-            // the reduction is order-independent anyway; folding the
-            // ordered results keeps it visibly deterministic.
-            max_delta = deltas.into_iter().fold(max_delta, f64::max);
-        }
-        last_delta = max_delta;
-        if max_delta < config.tolerance_k {
+        let red = stencil.half_sweep(&mut t, 0, config.omega);
+        let black = stencil.half_sweep(&mut t, 1, config.omega);
+        last_delta = red.max(black);
+        if last_delta < config.tolerance_k {
             break;
         }
     }
 
-    let flat: Vec<f64> = field.0.into_iter().map(UnsafeCell::into_inner).collect();
     techlib::obs::add(techlib::obs::THERMAL_SOR_SWEEPS, iterations as u64);
+    let (nx, ny) = (stencil.nx, stencil.ny);
+    let layers = (1..=stencil.nz)
+        .map(|z| {
+            (1..=ny)
+                .flat_map(|y| {
+                    let row = z * stencil.sz + y * stencil.sy + 1;
+                    t[row..row + nx].iter().copied()
+                })
+                .collect()
+        })
+        .collect();
     (
         TemperatureField {
             nx,
             ny,
-            layers: flat.chunks(cells).map(<[f64]>::to_vec).collect(),
+            layers,
             iterations,
         },
         last_delta,
@@ -494,28 +513,94 @@ mod tests {
         assert!(field.iterations < SolveConfig::default().max_iters);
     }
 
+    /// FNV-1a-64 over every temperature's bit pattern, layers in `z`
+    /// order and cells in index order.
+    fn field_digest(field: &TemperatureField) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &t in field.layers.iter().flatten() {
+            h ^= t.to_bits();
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
     #[test]
-    fn worker_count_does_not_change_a_single_bit() {
-        // Red-black half-sweeps are embarrassingly parallel, so the field
-        // must be bit-identical (not just close) for any worker count.
-        let model = ThermalModel::for_tech(InterposerKind::Glass3D).unwrap();
-        let config = SolveConfig {
-            max_iters: 400,
-            ..SolveConfig::default()
-        };
-        let bounds = Boundaries::default();
-        let one = solve_capped_with_workers(&model, &config, &bounds, 1);
-        for workers in [2, 5] {
-            let many = solve_capped_with_workers(&model, &config, &bounds, workers);
-            assert_eq!(one.iterations, many.iterations);
-            for (a, b) in one.layers.iter().zip(&many.layers) {
-                for (ta, tb) in a.iter().zip(b) {
-                    assert!(
-                        ta.to_bits() == tb.to_bits(),
-                        "{ta} != {tb} ({workers} workers)"
-                    );
+    fn converged_fields_are_pinned_to_the_bit() {
+        // Any change to the sweep's arithmetic or its summation order moves
+        // these digests; a faster kernel must reproduce them exactly.
+        let pinned: [(InterposerKind, u64, usize); 6] = [
+            (InterposerKind::Glass25D, 0x9aa8_fdb8_d497_2d16, 1060),
+            (InterposerKind::Glass3D, 0xb4a4_cfa2_1fc2_67e0, 1360),
+            (InterposerKind::Silicon25D, 0xb8d3_b6bd_3974_6b00, 1062),
+            (InterposerKind::Silicon3D, 0x6b96_1a34_dff2_2072, 828),
+            (InterposerKind::Shinko, 0x8c89_2c72_a1d7_7db4, 691),
+            (InterposerKind::Apx, 0x0107_9d76_f604_95fa, 1221),
+        ];
+        for (tech, digest, iterations) in pinned {
+            let model = ThermalModel::for_tech(tech).unwrap();
+            let field =
+                solve_with_boundaries(&model, &SolveConfig::default(), &Boundaries::default())
+                    .unwrap();
+            assert_eq!(field.iterations, iterations, "{tech} iterations");
+            assert_eq!(
+                field_digest(&field),
+                digest,
+                "{tech} field digest {:016x}",
+                field_digest(&field)
+            );
+        }
+    }
+
+    /// Heat leaving the assembly through every boundary, W: side walls,
+    /// top (die backs and bare surface), bottom film and board spreading.
+    fn boundary_outflow_w(model: &ThermalModel, field: &TemperatureField, b: &Boundaries) -> f64 {
+        let (nx, ny, nz) = (model.nx, model.ny, model.nz());
+        let a_xy = CELL_XY_M * CELL_XY_M;
+        let rise = |z: usize, i: usize| field.layers[z][i] - AMBIENT_C;
+        let mut side = 0.0;
+        for z in 0..nz {
+            let g = b.h_side * model.dz_m[z] * CELL_XY_M;
+            for y in 0..ny {
+                for x in 0..nx {
+                    let walls = usize::from(x == 0)
+                        + usize::from(x + 1 == nx)
+                        + usize::from(y == 0)
+                        + usize::from(y + 1 == ny);
+                    side += walls as f64 * g * rise(z, y * nx + x);
                 }
             }
+        }
+        let (mut top, mut bottom, mut board) = (0.0, 0.0, 0.0);
+        for i in 0..nx * ny {
+            let h = if model.top_die_mask[i] {
+                b.h_top_die
+            } else {
+                b.h_top
+            };
+            top += h * a_xy * rise(nz - 1, i);
+            bottom += b.h_bottom * a_xy * rise(0, i);
+            board += b.board_spread_w_per_k / (nx * ny) as f64 * rise(0, i);
+        }
+        side + top + bottom + board
+    }
+
+    #[test]
+    fn injected_power_leaves_through_the_boundaries() {
+        // Steady state: the heat crossing the boundaries must equal the
+        // injected power. The stopping rule bounds the per-sweep update,
+        // not this imbalance, so the tolerance is loose (worst tech today
+        // is APX at 4e-4).
+        for tech in InterposerKind::PACKAGED {
+            let model = ThermalModel::for_tech(tech).unwrap();
+            let bounds = Boundaries::default();
+            let field = solve_with_boundaries(&model, &SolveConfig::default(), &bounds).unwrap();
+            let injected = model.total_power_w();
+            let out = boundary_outflow_w(&model, &field, &bounds);
+            let rel = (out - injected).abs() / injected;
+            assert!(
+                rel < 1e-3,
+                "{tech}: {out} W out vs {injected} W in ({rel:.2e})"
+            );
         }
     }
 }
