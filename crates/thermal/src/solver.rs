@@ -297,6 +297,8 @@ impl Stencil {
         for z in 0..self.nz {
             for y in 0..self.ny {
                 // Padded row of the cells being updated, ghosts included.
+                // Per-row slices show the compiler that the written row
+                // does not alias the rows it reads, and bound every index.
                 let row = (z + 1) * sz + (y + 1) * sy;
                 let (below, rest) = t.split_at_mut(row);
                 let (mid, above) = rest.split_at_mut(sy);
@@ -323,6 +325,8 @@ impl Stencil {
                     let t_new = flux / g_sum[x];
                     let t_relaxed = t_old + omega * (t_new - t_old);
                     let delta = (t_relaxed - t_old).abs();
+                    // `f64::max` without its NaN branch: a NaN is skipped
+                    // either way.
                     if delta > max_delta {
                         max_delta = delta;
                     }
