@@ -120,17 +120,7 @@ pub fn router_value(stages: &serde_json::Value) -> serde_json::Value {
         ("route_nets_calls".into(), span("calls")),
         ("route_nets_total_ms".into(), span("total_ms")),
         ("nets_routed".into(), counter("router.nets_routed")),
-        ("batch_rounds".into(), counter("router.batch_rounds")),
-        (
-            "batch_candidates".into(),
-            counter("router.batch_candidates"),
-        ),
-        (
-            "batch_conflict_rejects".into(),
-            counter("router.batch_conflict_rejects"),
-        ),
         ("heap_pops".into(), counter("router.heap_pops")),
-        ("bucket_pops".into(), counter("router.bucket_pops")),
         (
             "heuristic_prunes".into(),
             counter("router.heuristic_prunes"),
@@ -143,10 +133,6 @@ pub fn router_value(stages: &serde_json::Value) -> serde_json::Value {
         (
             "incremental_reroutes".into(),
             counter("router.incremental_reroutes"),
-        ),
-        (
-            "conflict_reroutes".into(),
-            counter("router.conflict_reroutes"),
         ),
         (
             "route_nets_by_tech".into(),
@@ -180,9 +166,6 @@ mod tests {
                 "counters": {
                     "router.nets_routed": 530,
                     "router.heap_pops": 9001,
-                    "router.bucket_pops": 9001,
-                    "router.batch_candidates": 40,
-                    "router.batch_conflict_rejects": 7,
                     "router.heuristic_prunes": 11,
                     "router.window_fallbacks": 3
                 },
@@ -196,13 +179,11 @@ mod tests {
         assert_eq!(r.get("route_nets_calls").and_then(|v| v.as_u64()), Some(5));
         assert_eq!(r.get("nets_routed").and_then(|v| v.as_u64()), Some(530));
         assert_eq!(r.get("heap_pops").and_then(|v| v.as_u64()), Some(9001));
-        assert_eq!(r.get("bucket_pops").and_then(|v| v.as_u64()), Some(9001));
-        assert_eq!(r.get("batch_candidates").and_then(|v| v.as_u64()), Some(40));
-        assert_eq!(
-            r.get("batch_conflict_rejects").and_then(|v| v.as_u64()),
-            Some(7)
-        );
         assert_eq!(r.get("heuristic_prunes").and_then(|v| v.as_u64()), Some(11));
+        // Counters of the retired batch router are gone from the section.
+        for retired in ["batch_rounds", "bucket_pops", "conflict_reroutes"] {
+            assert!(r.get(retired).is_none(), "{retired} still reported");
+        }
         // Counters absent from the snapshot report zero, not null.
         assert_eq!(r.get("expansions").and_then(|v| v.as_u64()), Some(0));
         // The per-tech map passes through intact.

@@ -11,8 +11,9 @@
 //! the caches of — a sibling scenario.
 //!
 //! [`run`] fans scenarios out across scoped threads with
-//! [`crate::exec::ordered_map`]; outcomes come back in input order and
-//! are byte-identical to [`run_sequential`] (fixed-seed RNG,
+//! [`crate::exec::ordered_map_heaviest_first`], the scenarios with the
+//! largest routing grids claimed first; outcomes come back in input
+//! order and are byte-identical to [`run_sequential`] (fixed-seed RNG,
 //! order-preserving fan-out, per-scenario state).
 
 use crate::context::{FrontEnd, StudyContext};
@@ -52,9 +53,11 @@ pub fn run_with_store(
     techlib::par::try_thread_count()?;
     let contexts = build_contexts(scenarios, store);
     let indices: Vec<usize> = (0..scenarios.len()).collect();
-    Ok(exec::ordered_map(&indices, |&i| {
-        run_in_context(&contexts[i], &scenarios[i])
-    }))
+    Ok(exec::ordered_map_heaviest_first(
+        &indices,
+        |&i| interposer::report::routing_grid_nodes(contexts[i].spec(scenarios[i].tech())),
+        |&i| run_in_context(&contexts[i], &scenarios[i]),
+    ))
 }
 
 /// Sequential reference implementation of [`run`] (same contexts, same

@@ -161,10 +161,10 @@ pub fn run_scenario(scenario: &Scenario) -> Result<TechStudy, FlowError> {
 }
 
 /// Runs the study for all six packaged technologies, fanning the
-/// independent per-technology studies out across scoped threads
-/// ([`exec::try_ordered_map`]). Results are in `PACKAGED` order and
-/// byte-identical to [`run_all_sequential`] — every study is
-/// self-contained and all RNG is fixed-seed.
+/// independent per-technology studies out across scoped threads,
+/// heaviest route first ([`exec::ordered_map_heaviest_first`]). Results
+/// are in `PACKAGED` order and byte-identical to [`run_all_sequential`]
+/// — every study is self-contained and all RNG is fixed-seed.
 ///
 /// # Errors
 ///
@@ -179,16 +179,26 @@ pub fn run_all(mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
 }
 
 /// [`run_all`] against an explicit context (all six packaged
-/// technologies, parallel, `PACKAGED` order).
+/// technologies, parallel, results in `PACKAGED` order).
+///
+/// The routed study dominates each technology's cost and varies 200×
+/// between technologies, so the studies are claimed in descending order
+/// of routing-grid nodes ([`interposer::report::routing_grid_nodes`]):
+/// APX, the longest route, starts at once instead of after four others,
+/// and the makespan is bounded by its own study.
 ///
 /// # Errors
 ///
 /// Per-technology failures, first failing technology in `PACKAGED`
 /// order.
 pub fn run_all_in(ctx: &StudyContext, mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
-    exec::try_ordered_map(&InterposerKind::PACKAGED, |&tech| {
-        run_tech_in(ctx, tech, mode)
-    })
+    exec::ordered_map_heaviest_first(
+        &InterposerKind::PACKAGED,
+        |&tech| interposer::report::routing_grid_nodes(ctx.spec(tech)),
+        |&tech| run_tech_in(ctx, tech, mode),
+    )
+    .into_iter()
+    .collect()
 }
 
 /// Sequential reference implementation of [`run_all`] (same work, one

@@ -100,10 +100,6 @@ impl PartialOrd for FrontierItem {
 /// implementations pop in the identical total order; only the constant
 /// factors differ.
 pub trait FrontierQueue {
-    /// True for the bucket implementation (drives the
-    /// `router.bucket_pops` counter attribution).
-    const IS_BUCKET: bool;
-
     /// An empty queue. Allocation happens here; [`FrontierQueue::begin`]
     /// reuses it.
     fn new() -> Self;
@@ -211,8 +207,6 @@ impl BucketQueue {
 }
 
 impl FrontierQueue for BucketQueue {
-    const IS_BUCKET: bool = true;
-
     fn new() -> Self {
         BucketQueue {
             ring: (0..RING).map(|_| BinaryHeap::new()).collect(),
@@ -308,8 +302,6 @@ pub struct HeapFrontier(BinaryHeap<FrontierItem>);
 
 #[cfg(any(test, feature = "frontier-oracle"))]
 impl FrontierQueue for HeapFrontier {
-    const IS_BUCKET: bool = false;
-
     fn new() -> Self {
         HeapFrontier(BinaryHeap::new())
     }

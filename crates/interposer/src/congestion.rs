@@ -121,39 +121,22 @@ impl CostField {
     }
 
     /// The cheapest lateral-entry excess (layer bias + congestion
-    /// penalty) over every gcell of `win`, and the first node (row-major
-    /// gcell scan, then lowest layer) realising it.
+    /// penalty) over every gcell of `win`.
     ///
     /// Every lateral step of a path confined to `win` pays at least this
     /// excess on top of its geometric step length, which is what makes
-    /// the corridor-scaled heuristic admissible (see DESIGN.md §16). The
-    /// returned node is the value's *witness*: as long as its penalty is
-    /// unchanged, the window minimum is unchanged (penalties only grow
-    /// within a routing pass), so speculative searches record just this
-    /// node in their read footprint rather than the whole window scan.
-    pub fn corridor_floor(&self, grid: &RoutingGrid, win: &GridWindow) -> (f64, usize) {
+    /// the corridor-scaled heuristic admissible (see DESIGN.md §16).
+    pub fn corridor_floor(&self, grid: &RoutingGrid, win: &GridWindow) -> f64 {
         let mut floor = f64::INFINITY;
-        let mut at = (win.x0, win.y0);
         for y in win.y0..=win.y1 {
             let row = y * grid.cols;
-            for x in win.x0..=win.x1 {
-                let v = self.floor2d[row + x];
+            for &v in &self.floor2d[row + win.x0..=row + win.x1] {
                 if v < floor {
                     floor = v;
-                    at = (x, y);
                 }
             }
         }
-        let per = grid.cols * grid.rows;
-        let gcell = at.1 * grid.cols + at.0;
-        for l in 0..grid.layers {
-            if l as f64 * LAYER_BIAS_UM + self.penalty[l * per + gcell] == floor {
-                return (floor, l * per + gcell);
-            }
-        }
-        // Unreachable: floor2d[gcell] is the min of exactly these
-        // values; the layer-0 fallback keeps the path panic-free.
-        (floor, gcell)
+        floor
     }
 }
 
@@ -299,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_field_tracks_usage_and_witnesses_the_corridor_floor() {
+    fn cost_field_tracks_usage_and_the_corridor_floor() {
         let layout = cached_layout(InterposerKind::Glass25D).unwrap();
         let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
         let grid = RoutingGrid::new(layout.placement.footprint_um, &spec).unwrap();
@@ -311,13 +294,15 @@ mod tests {
             let over = (usage[node] + 1.0 - grid.capacity).max(0.0);
             assert_eq!(field.penalty[node], history[node] + 200.0 * over);
         }
-        // The corridor floor's witness realises the reported value, and
-        // the full-grid floor on a fresh field is zero (some gcell has a
-        // free layer-0 entry).
+        // The full-grid corridor floor is the smallest per-gcell floor,
+        // and on a fresh field it is zero (some gcell has a free layer-0
+        // entry).
         let win = grid.window((0, 0), (grid.cols - 1, grid.rows - 1), 0);
-        let (floor, witness) = field.corridor_floor(&grid, &win);
-        let (_, _, wl) = grid.decompose(witness);
-        assert_eq!(floor, wl as f64 * LAYER_BIAS_UM + field.penalty[witness]);
+        let floor = field.corridor_floor(&grid, &win);
+        assert_eq!(
+            floor,
+            field.floor2d.iter().copied().fold(f64::INFINITY, f64::min)
+        );
         assert_eq!(floor, 0.0);
         // An incremental refresh after a usage change matches a rebuild.
         let node = grid.index(grid.cols / 2, grid.rows / 2, 0);

@@ -220,6 +220,19 @@ pub fn reset_layout_cache_for_tests() {
     default_layout_cache().reset();
 }
 
+/// The node count (gcells × signal layers) of the routing grid
+/// [`place_and_route_with`] would route `spec` on: a cheap proxy for its
+/// routing cost, used to dispatch the heaviest studies first. Places
+/// the dies and builds the grid, but routes nothing. Specs without a
+/// routed interposer, or whose grid is unusable, weigh 0.
+pub fn routing_grid_nodes(spec: &InterposerSpec) -> usize {
+    if matches!(spec.stacking, Stacking::TsvStack | Stacking::Monolithic) {
+        return 0;
+    }
+    let placement = diemap::place_dies_with(spec);
+    RoutingGrid::new(placement.footprint_um, spec).map_or(0, |grid| grid.node_count())
+}
+
 /// Places the four chiplets and routes every lateral net for `tech`.
 ///
 /// # Errors
@@ -277,6 +290,18 @@ mod tests {
             assert!(!layout.routed_nets.is_empty(), "{tech}");
             assert!(layout.stats.total_wl_mm > 0.0, "{tech}");
         }
+    }
+
+    #[test]
+    fn grid_nodes_rank_the_paper_techs_by_routing_cost() {
+        let nodes = |tech| routing_grid_nodes(&InterposerSpec::for_kind(tech));
+        assert_eq!(nodes(InterposerKind::Apx), 172_800);
+        assert_eq!(nodes(InterposerKind::Shinko), 109_375);
+        assert_eq!(nodes(InterposerKind::Glass25D), 85_470);
+        assert_eq!(nodes(InterposerKind::Silicon25D), 48_400);
+        assert_eq!(nodes(InterposerKind::Glass3D), 14_076);
+        assert_eq!(nodes(InterposerKind::Silicon3D), 0);
+        assert_eq!(nodes(InterposerKind::Monolithic2D), 0);
     }
 
     #[test]

@@ -89,78 +89,64 @@ pub const MEMO_HIT: Counter = Counter(0);
 pub const MEMO_COMPUTE: Counter = Counter(1);
 /// Nets in finished routing solutions.
 pub const ROUTER_NETS_ROUTED: Counter = Counter(2);
-/// Speculative routing batch rounds (0 when routing ran sequentially).
-pub const ROUTER_BATCH_ROUNDS: Counter = Counter(3);
 /// Red-black SOR sweeps run by the thermal solver.
-pub const THERMAL_SOR_SWEEPS: Counter = Counter(4);
+pub const THERMAL_SOR_SWEEPS: Counter = Counter(3);
 /// LU factorisations started by the circuit engine.
-pub const CIRCUIT_LU_FACTOR: Counter = Counter(5);
+pub const CIRCUIT_LU_FACTOR: Counter = Counter(4);
 /// LU back-substitution solves (one per transient time step).
-pub const CIRCUIT_LU_SOLVE: Counter = Counter(6);
+pub const CIRCUIT_LU_SOLVE: Counter = Counter(5);
 /// Link decks simulated by the SI engine.
-pub const SI_LINKS_SIMULATED: Counter = Counter(7);
+pub const SI_LINKS_SIMULATED: Counter = Counter(6);
 /// Priority-queue pops in the router's A* loop (including stale
 /// entries skipped without expansion).
-pub const ROUTER_HEAP_POPS: Counter = Counter(8);
+pub const ROUTER_HEAP_POPS: Counter = Counter(7);
 /// Nodes actually expanded (neighbours relaxed) by the router's A*.
-pub const ROUTER_EXPANSIONS: Counter = Counter(9);
+pub const ROUTER_EXPANSIONS: Counter = Counter(8);
 /// Windowed searches whose cost certificate failed, forcing a wider
 /// window (the last fallback is the full grid).
-pub const ROUTER_WINDOW_FALLBACKS: Counter = Counter(10);
+pub const ROUTER_WINDOW_FALLBACKS: Counter = Counter(9);
 /// Nets ripped up by the overflow-driven incremental reroute.
-pub const ROUTER_INCREMENTAL_REROUTES: Counter = Counter(11);
-/// Speculative routes discarded for footprint conflicts and re-routed
-/// sequentially.
-pub const ROUTER_CONFLICT_REROUTES: Counter = Counter(12);
+pub const ROUTER_INCREMENTAL_REROUTES: Counter = Counter(10);
 /// Sweep requests admitted by the `codesign serve` daemon.
-pub const SERVE_REQUESTS: Counter = Counter(13);
+pub const SERVE_REQUESTS: Counter = Counter(11);
 /// Sweep requests rejected at admission with 429 (queue full).
-pub const SERVE_ADMISSION_REJECTS: Counter = Counter(14);
+pub const SERVE_ADMISSION_REJECTS: Counter = Counter(12);
 /// Serve requests that hit their deadline mid-flight.
-pub const SERVE_DEADLINE_HITS: Counter = Counter(15);
+pub const SERVE_DEADLINE_HITS: Counter = Counter(13);
 /// Scenario context-pool hits (a warm `StudyContext` was reused).
-pub const SERVE_CONTEXT_HITS: Counter = Counter(16);
+pub const SERVE_CONTEXT_HITS: Counter = Counter(14);
 /// Scenario context-pool misses (a fresh `StudyContext` was built).
-pub const SERVE_CONTEXT_MISSES: Counter = Counter(17);
+pub const SERVE_CONTEXT_MISSES: Counter = Counter(15);
 /// Serve requests fully executed (success or per-scenario error body).
-pub const SERVE_COMPLETED: Counter = Counter(18);
+pub const SERVE_COMPLETED: Counter = Counter(16);
 /// Artifact-store hits served from the in-memory tier.
-pub const STORE_MEM_HIT: Counter = Counter(19);
+pub const STORE_MEM_HIT: Counter = Counter(17);
 /// Artifact-store hits decoded from the on-disk tier.
-pub const STORE_DISK_HIT: Counter = Counter(20);
+pub const STORE_DISK_HIT: Counter = Counter(18);
 /// Artifact-store misses (the compute closure ran).
-pub const STORE_MISS: Counter = Counter(21);
+pub const STORE_MISS: Counter = Counter(19);
 /// Artifacts written to the on-disk tier.
-pub const STORE_WRITE: Counter = Counter(22);
+pub const STORE_WRITE: Counter = Counter(20);
 /// On-disk entries discarded as corrupt/undecodable (treated as a miss).
-pub const STORE_INVALID: Counter = Counter(23);
+pub const STORE_INVALID: Counter = Counter(21);
 /// Connections rejected at accept with 503 (handler pool at capacity).
-pub const SERVE_CONN_REJECTED: Counter = Counter(24);
+pub const SERVE_CONN_REJECTED: Counter = Counter(22);
 /// Connections aborted because the client exhausted a read budget
 /// (slowloris headers, drip-fed bodies).
-pub const SERVE_SLOW_CLIENT_ABORTS: Counter = Counter(25);
+pub const SERVE_SLOW_CLIENT_ABORTS: Counter = Counter(23);
 /// Responses aborted because the client stalled the write past the
 /// whole-response budget.
-pub const SERVE_WRITE_TIMEOUTS: Counter = Counter(26);
-/// Nets examined by the speculative batch former (picked or rejected).
-pub const ROUTER_BATCH_CANDIDATES: Counter = Counter(27);
-/// Lookahead nets the batch former rejected for window overlap with an
-/// already-picked batch member.
-pub const ROUTER_BATCH_CONFLICT_REJECTS: Counter = Counter(28);
-/// A* pops served by the monotone bucket frontier (equals
-/// `router.heap_pops` unless the binary-heap oracle is in use).
-pub const ROUTER_BUCKET_POPS: Counter = Counter(29);
+pub const SERVE_WRITE_TIMEOUTS: Counter = Counter(24);
 /// Frontier entries left unexpanded at goal settlement because the
 /// corridor-sharpened heuristic priced them past the goal — expansions
 /// the plain heuristic would have paid for.
-pub const ROUTER_HEURISTIC_PRUNES: Counter = Counter(30);
+pub const ROUTER_HEURISTIC_PRUNES: Counter = Counter(25);
 
 /// Names of every registered counter, indexed by [`Counter`] handle.
-pub const COUNTER_NAMES: [&str; 31] = [
+pub const COUNTER_NAMES: [&str; 26] = [
     "memo.hit",
     "memo.compute",
     "router.nets_routed",
-    "router.batch_rounds",
     "thermal.sor_sweeps",
     "circuit.lu_factor",
     "circuit.lu_solve",
@@ -169,7 +155,6 @@ pub const COUNTER_NAMES: [&str; 31] = [
     "router.expansions",
     "router.window_fallbacks",
     "router.incremental_reroutes",
-    "router.conflict_reroutes",
     "serve.requests",
     "serve.admission_rejects",
     "serve.deadline_hits",
@@ -184,9 +169,6 @@ pub const COUNTER_NAMES: [&str; 31] = [
     "serve.conn_rejected",
     "serve.slow_client_aborts",
     "serve.write_timeouts",
-    "router.batch_candidates",
-    "router.batch_conflict_rejects",
-    "router.bucket_pops",
     "router.heuristic_prunes",
 ];
 
@@ -605,7 +587,6 @@ mod tests {
             ROUTER_INCREMENTAL_REROUTES.name(),
             "router.incremental_reroutes"
         );
-        assert_eq!(ROUTER_CONFLICT_REROUTES.name(), "router.conflict_reroutes");
         assert_eq!(SERVE_REQUESTS.name(), "serve.requests");
         assert_eq!(SERVE_ADMISSION_REJECTS.name(), "serve.admission_rejects");
         assert_eq!(SERVE_DEADLINE_HITS.name(), "serve.deadline_hits");
@@ -615,12 +596,6 @@ mod tests {
         assert_eq!(SERVE_CONN_REJECTED.name(), "serve.conn_rejected");
         assert_eq!(SERVE_SLOW_CLIENT_ABORTS.name(), "serve.slow_client_aborts");
         assert_eq!(SERVE_WRITE_TIMEOUTS.name(), "serve.write_timeouts");
-        assert_eq!(ROUTER_BATCH_CANDIDATES.name(), "router.batch_candidates");
-        assert_eq!(
-            ROUTER_BATCH_CONFLICT_REJECTS.name(),
-            "router.batch_conflict_rejects"
-        );
-        assert_eq!(ROUTER_BUCKET_POPS.name(), "router.bucket_pops");
         assert_eq!(ROUTER_HEURISTIC_PRUNES.name(), "router.heuristic_prunes");
         for name in COUNTER_NAMES {
             assert!(name.contains('.'), "counter {name:?} is stage-qualified");

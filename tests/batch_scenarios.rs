@@ -67,6 +67,69 @@ fn parallel_batch_is_byte_identical_to_sequential() {
     assert!(fine.logic.footprint.width_um < paper25.logic.footprint.width_um);
 }
 
+/// `batch::run` claims scenarios heaviest routing grid first. On a
+/// mixed-tech list ordered light to heavy — with a grid-less stacked
+/// scenario and a faulty one in between — the outcomes still land in
+/// input order, byte for byte what `run_sequential` produces.
+#[test]
+fn heaviest_first_batch_on_mixed_techs_matches_sequential() {
+    let wide_spacing = Scenario::new(
+        "wide-spacing-si25d",
+        InterposerKind::Silicon25D,
+        MonitorLengths::Routed,
+        ScenarioOverrides {
+            die_to_die_spacing_um: Some(400.0),
+            ..Default::default()
+        },
+        Vec::new(),
+    )
+    .expect("valid scenario");
+    let broken = Scenario::new(
+        "broken-thermal",
+        InterposerKind::Glass3D,
+        MonitorLengths::Routed,
+        ScenarioOverrides::default(),
+        vec!["thermal.solve".to_string()],
+    )
+    .expect("valid scenario");
+    let scenarios = vec![
+        Scenario::paper(InterposerKind::Silicon3D),
+        Scenario::paper(InterposerKind::Glass3D),
+        broken,
+        Scenario::paper(InterposerKind::Silicon25D),
+        wide_spacing,
+    ];
+    let weights: Vec<usize> = scenarios
+        .iter()
+        .map(|s| {
+            let spec = codesign::context::StudyContext::for_scenario(s)
+                .spec(s.tech())
+                .clone();
+            interposer::report::routing_grid_nodes(&spec)
+        })
+        .collect();
+    assert!(
+        weights.windows(2).any(|w| w[0] < w[1]),
+        "dispatch must reorder the list for this test to mean anything: {weights:?}"
+    );
+    let parallel = batch::run(&scenarios).expect("batch launches");
+    let sequential = batch::run_sequential(&scenarios);
+    assert_eq!(fingerprints(&parallel), fingerprints(&sequential));
+    assert!(
+        matches!(parallel[2], Err(FlowError::NoConvergence { .. })),
+        "{:?}",
+        parallel[2]
+    );
+    for i in [0, 1, 3, 4] {
+        let study = parallel[i].as_ref().expect("clean scenario succeeds");
+        assert_eq!(
+            study.tech,
+            scenarios[i].tech(),
+            "outcome {i} in input order"
+        );
+    }
+}
+
 /// The eight-scenario design-space sweep the bench uses: the six paper
 /// points plus two perturbed glass points.
 fn eight_scenarios() -> Vec<Scenario> {

@@ -120,6 +120,8 @@ fn traced_parallel_flow_is_byte_identical_and_emits_a_valid_trace() {
         "memo.hit",
         "memo.compute",
         "router.nets_routed",
+        "router.heap_pops",
+        "router.expansions",
         "thermal.sor_sweeps",
         "circuit.lu_factor",
         "circuit.lu_solve",
@@ -135,14 +137,30 @@ fn traced_parallel_flow_is_byte_identical_and_emits_a_valid_trace() {
         });
         assert!(fired, "counter {counter} missing or zero");
     }
-    // The batch-rounds counter is present even if the router ran its
-    // batches sequentially for small worker counts.
+}
+
+/// `run_all_in` claims the technologies heaviest route first, which is
+/// not `PACKAGED` order, yet its studies come back in `PACKAGED` order
+/// and serialize byte-identically to the one-at-a-time reference.
+#[test]
+fn heaviest_first_run_all_in_serializes_byte_identically_to_sequential() {
+    std::env::set_var(techlib::par::THREADS_ENV, "3");
+    let ctx = StudyContext::paper();
+    let weights: Vec<usize> = InterposerKind::PACKAGED
+        .iter()
+        .map(|&tech| interposer::report::routing_grid_nodes(ctx.spec(tech)))
+        .collect();
     assert!(
-        events
-            .iter()
-            .any(|e| e.get("name").and_then(serde_json::Value::as_str)
-                == Some("router.batch_rounds")),
-        "router.batch_rounds counter event missing"
+        weights.windows(2).any(|w| w[0] < w[1]),
+        "dispatch must reorder the techs for this test to mean anything: {weights:?}"
+    );
+    let dispatched = run_all_in(&ctx, MonitorLengths::Routed).expect("flow completes");
+    let sequential = run_all_sequential(MonitorLengths::Routed).expect("flow completes");
+    let techs: Vec<InterposerKind> = dispatched.iter().map(|s| s.tech).collect();
+    assert_eq!(techs, InterposerKind::PACKAGED.to_vec());
+    assert!(
+        serde_json::to_string(&dispatched).unwrap() == serde_json::to_string(&sequential).unwrap(),
+        "heaviest-first dispatch changed the serialized studies"
     );
 }
 
@@ -195,5 +213,29 @@ proptest! {
             mapped.into_iter().collect()
         };
         prop_assert_eq!(run(workers), run(1));
+    }
+
+    /// The heaviest-first helper claims items by descending weight but
+    /// returns results in input order for any weights and any per-task
+    /// duration skew, and its collected form reports the first failing
+    /// input's error — not the first one claimed or finished.
+    #[test]
+    fn heaviest_first_preserves_input_order_and_first_error(
+        seed in 0u64..(1u64 << 48),
+        len in 1usize..40,
+        fail_mask in 0u64..(1u64 << 40),
+    ) {
+        let items: Vec<u64> = (0..len as u64).collect();
+        let weight = |&i: &u64| (splitmix64(seed ^ i) % 8) as usize;
+        let task = |&i: &u64| -> Result<u64, u64> {
+            std::thread::sleep(std::time::Duration::from_micros(splitmix64(seed ^ !i) % 400));
+            if fail_mask & (1 << i) != 0 { Err(i) } else { Ok(i.wrapping_mul(7)) }
+        };
+        let out = codesign::exec::ordered_map_heaviest_first(&items, weight, task);
+        let expect: Vec<Result<u64, u64>> = items.iter().map(task).collect();
+        prop_assert_eq!(&out, &expect);
+        let collected: Result<Vec<u64>, u64> = out.into_iter().collect();
+        let first_failure = items.iter().copied().find(|&i| fail_mask & (1 << i) != 0);
+        prop_assert_eq!(collected.err(), first_failure);
     }
 }
