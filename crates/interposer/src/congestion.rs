@@ -282,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_field_tracks_usage_and_the_corridor_floor() {
+    fn cost_field_tracks_usage_and_witnesses_the_corridor_floor() {
         let layout = cached_layout(InterposerKind::Glass25D).unwrap();
         let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
         let grid = RoutingGrid::new(layout.placement.footprint_um, &spec).unwrap();

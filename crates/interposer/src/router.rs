@@ -1301,6 +1301,42 @@ mod tests {
             let full = route_all_impl(&p, &grid, Reroute::Full).unwrap();
             prop_assert_eq!(overflow(&inc), overflow(&full));
         }
+
+        /// (c) Routing on several threads at once — as heaviest-first
+        /// dispatch does across techs and scenarios — gives every thread
+        /// exactly the sequential result: the router keeps no state
+        /// outside its call. Two placements, each routed on two threads.
+        #[test]
+        fn par_matches_seq_on_random_placements(seed in 0u64..(1u64 << 48)) {
+            let placements = [random_micro_placement(seed), random_micro_placement(!seed)];
+            let grids: Vec<RoutingGrid> = placements
+                .iter()
+                .map(|p| RoutingGrid::new(p.footprint_um, &InterposerSpec::for_kind(p.tech)).unwrap())
+                .collect();
+            let seq: Vec<Vec<RoutedNet>> = placements
+                .iter()
+                .zip(&grids)
+                .map(|(p, g)| route_all(p, g).unwrap())
+                .collect();
+            let par: Vec<(usize, Vec<RoutedNet>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|t| {
+                        let (p, g) = (&placements[t % 2], &grids[t % 2]);
+                        s.spawn(move || (t % 2, route_all(p, g).unwrap()))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (i, routed) in &par {
+                let want = &seq[*i];
+                prop_assert_eq!(routed.len(), want.len());
+                for (a, b) in routed.iter().zip(want) {
+                    prop_assert_eq!(a.id, b.id);
+                    prop_assert_eq!(&a.path, &b.path);
+                    prop_assert!(a.length_um == b.length_um && a.vias == b.vias);
+                }
+            }
+        }
     }
 
     #[test]
