@@ -66,6 +66,28 @@ test "$(counter router.nets_routed)" -eq 0
 rm -rf "$CACHE_DIR"
 echo "    warm cache: byte-identical, served from disk, zero recomputes"
 
+# Shared-store sweep smoke: one batch runs over one artifact store, so
+# the 12-scenario sweep (three techs x four knobs) must print the same
+# bytes in parallel as in sequence, and must run exactly as many SOR
+# sweeps as the three paper points of the same techs: one thermal solve
+# per technology, however many scenarios share it.
+echo "==> shared-store sweep smoke (parallel == sequential, one thermal solve per tech)"
+rm -f /tmp/codesign_shared_par.json /tmp/codesign_shared_seq.json
+cargo run --release -q -p codesign --bin codesign -- \
+    sweep examples/sweep_shared_thermal.json --json > /tmp/codesign_shared_par.json
+cargo run --release -q -p codesign --bin codesign -- \
+    sweep examples/sweep_shared_thermal.json --json --sequential > /tmp/codesign_shared_seq.json
+cmp /tmp/codesign_shared_par.json /tmp/codesign_shared_seq.json
+sor_sweeps() {
+    cargo run --release -q -p codesign --bin codesign -- sweep "$1" --stats 2>&1 >/dev/null \
+        | awk '$1 == "thermal.sor_sweeps" { print $2 }'
+}
+SHARED_SWEEPS=$(sor_sweeps examples/sweep_shared_thermal.json)
+PAPER_SWEEPS=$(sor_sweeps examples/paper_cheap_techs.json)
+test -n "$SHARED_SWEEPS" && test "$SHARED_SWEEPS" -gt 0
+test "$SHARED_SWEEPS" -eq "$PAPER_SWEEPS"
+echo "    shared sweep: byte-identical, $SHARED_SWEEPS SOR sweeps (= the 3 paper points)"
+
 # Router bench smoke: flow_timing on a single technology must prove the
 # parallel flow byte-identical to sequential at every sweep width and
 # report non-zero hot-path work counters in its "router" section.
@@ -87,20 +109,22 @@ echo "    router smoke: byte-identical outputs, hot-path counters recorded"
 # host but still catches an algorithmic regression), and because the
 # router is sequential its work must not depend on the worker count:
 # heap pops and expansions at every sweep width equal the 1-worker
-# values. Published half: BENCH_flow.json must carry the pinned
-# deterministic studies hash and a single-worker route.nets total under
-# 2x the round-2 router target (9000 ms), so a regressing change cannot
-# simply regenerate the numbers and slip past.
-echo "==> router perf gate (smoke wall clock + width-invariant work, published BENCH_flow.json)"
+# values. The studies hash is checked live: a fresh paper-default
+# six-tech study, built in release, must serialize to the pinned
+# FNV-1a value. Published half: BENCH_flow.json must carry a
+# single-worker route.nets total under 2x the round-2 router target
+# (9000 ms), so a regressing change cannot simply regenerate the
+# numbers and slip past.
+echo "==> router perf gate (smoke wall clock + width-invariant work, live studies hash, published BENCH_flow.json)"
 jq -e '.router.route_nets_total_ms < 2000' /tmp/codesign_router_smoke.json > /dev/null
 jq -e '(.parallel_sweep | map(select(.workers == 1)) | .[0].router) as $one
        | $one != null and $one.heap_pops > 0 and (.parallel_sweep | length) > 1
          and all(.parallel_sweep[]; .router.heap_pops == $one.heap_pops
                                     and .router.expansions == $one.expansions)' \
     /tmp/codesign_router_smoke.json > /dev/null
-jq -e '.studies_hash_fnv1a == "c134daec37b29ea7"' BENCH_flow.json > /dev/null
+cargo test --release -q -p codesign --test flow_determinism -- paper_studies_hash_is_pinned
 jq -e '.router.route_nets_total_ms < 9000' BENCH_flow.json > /dev/null
-echo "    router perf gate: smoke under ceiling, work width-invariant, published hash pinned"
+echo "    router perf gate: smoke under ceiling, work width-invariant, live hash pinned"
 
 # Serve smoke: start the daemon on an ephemeral port, POST the same
 # two-scenario file, and require the response bytes to equal the CLI's

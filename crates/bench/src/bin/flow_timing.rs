@@ -1,15 +1,16 @@
 //! Times the six-technology study sequentially vs in parallel and writes
 //! `BENCH_flow.json` at the repository root.
 //!
-//! Because the flow memoizes shared artifacts (netlists, layouts, chiplet
-//! reports) per process, a fair cold comparison needs fresh processes:
+//! Because the default context keeps shared artifacts (netlists, layouts,
+//! chiplet reports) in a process-wide store, a fair cold comparison
+//! needs fresh processes:
 //! the binary re-executes itself once per mode. The sequential child is
 //! pinned to one worker (`CODESIGN_THREADS=1`) and calls
 //! [`codesign::flow::run_all_sequential`]; the parallel children call
 //! [`codesign::flow::run_all`] at each worker count in [`WORKER_SWEEP`]
 //! (explicitly pinned via `CODESIGN_THREADS`, so `parallel_cold_s`
 //! measures real fan-out even on hosts whose default thread count is 1).
-//! Each child also re-runs its flow warm to show what the artifact cache
+//! Each child also re-runs its flow warm to show what the artifact store
 //! saves, and prints a hash of the serialized studies so the parent can
 //! verify every mode produced byte-identical output.
 //!

@@ -4,11 +4,12 @@
 //! Three modes over the same scenario list:
 //!
 //! * **sequential** — `batch::run_sequential`, one scenario at a time
-//!   (shared front end between clean scenarios, like the parallel path);
+//!   (one in-memory store shared by the clean scenarios, like the
+//!   parallel path);
 //! * **parallel** — `batch::run`, scenarios fanned out across workers;
 //! * **isolated** — every scenario through `flow::run_scenario` (a fully
-//!   private context each, so the split/chipletize front end is
-//!   recomputed per scenario — what the batch's shared front end saves).
+//!   private context and store each, so every stage is recomputed per
+//!   scenario — what the batch's shared store saves).
 //!
 //! Unlike `flow_timing`, no child processes are needed: contexts are
 //! built per call, so every mode starts cold by construction. The
@@ -131,7 +132,7 @@ fn main() {
     // store, a second pass through a *new* store instance over the same
     // directory (warm-disk — what a restarted process pays), and a
     // third pass reusing the live store (warm-mem). All three must
-    // serialize byte-identically to the uncached sequential reference.
+    // serialize byte-identically to the sequential reference.
     let cache_dir = std::env::temp_dir().join(format!(
         "codesign_sweep_timing_store_{}",
         std::process::id()
@@ -157,17 +158,17 @@ fn main() {
     assert_eq!(
         seq_json,
         serialize(&cold),
-        "cold store pass must serialize byte-identically to the uncached reference"
+        "cold store pass must serialize byte-identically to the sequential reference"
     );
     assert_eq!(
         seq_json,
         serialize(&warm_disk),
-        "disk-warm store pass must serialize byte-identically to the uncached reference"
+        "disk-warm store pass must serialize byte-identically to the sequential reference"
     );
     assert_eq!(
         seq_json,
         serialize(&warm_mem),
-        "memory-warm store pass must serialize byte-identically to the uncached reference"
+        "memory-warm store pass must serialize byte-identically to the sequential reference"
     );
     let warm_stats = warm_store.stats();
     assert!(

@@ -1,14 +1,17 @@
 //! The batch design-space engine: run many scenarios through one
 //! process, in parallel, with per-scenario isolation.
 //!
-//! Each scenario gets its own [`StudyContext`]; *clean* scenarios (no
-//! injected faults) additionally share one [`FrontEnd`], because the
-//! design → split → chipletize chain is independent of the interposer
-//! spec. Scenarios with fault sites get fully private contexts *and* a
-//! thread-scoped fault scope ([`techlib::faults::scoped`]), so an
-//! injected failure fires only inside that scenario's worker (and any
-//! nested parallelism it spawns) and can never surface in — or poison
-//! the caches of — a sibling scenario.
+//! Each scenario gets its own [`StudyContext`]. Every call builds one
+//! [`ArtifactStore`] (in memory, unless the caller passes one), and the
+//! *clean* scenarios (no injected faults) share it together with one
+//! [`FrontEnd`] over it: scenarios whose stage keys coincide share one
+//! computation, so a sweep solves each distinct thermal field once and
+//! splits the design once. Scenarios with fault sites get a private
+//! front end over a private throwaway store *and* a thread-scoped fault
+//! scope ([`techlib::faults::scoped`]), so an injected failure fires
+//! only inside that scenario's worker (and any nested parallelism it
+//! spawns) and can never surface in — or poison the store of — a
+//! sibling scenario.
 //!
 //! [`run`] fans scenarios out across scoped threads with
 //! [`crate::exec::ordered_map_heaviest_first`], the scenarios with the
@@ -35,12 +38,13 @@ pub fn run(scenarios: &[Scenario]) -> Result<Vec<Result<TechStudy, FlowError>>, 
     run_with_store(scenarios, None)
 }
 
-/// [`run`] with an optional shared [`ArtifactStore`]: clean scenarios
-/// whose stage keys coincide share one computation across their
-/// contexts (and, with a disk-backed store, across processes). Faulty
-/// scenarios never see the store — an injected failure must not read
-/// from or write to shared state. Outputs are byte-identical to the
-/// store-less path at any worker count.
+/// [`run`] over a caller-supplied [`ArtifactStore`] (a fresh in-memory
+/// one when `None`): clean scenarios whose stage keys coincide share one
+/// computation across their contexts (and, with a disk-backed store,
+/// across processes). Faulty scenarios never see the store — an
+/// injected failure must not read from or write to shared state.
+/// Outputs are byte-identical to running each scenario alone in its
+/// own context, at any worker count.
 ///
 /// # Errors
 ///
@@ -61,8 +65,8 @@ pub fn run_with_store(
 }
 
 /// Sequential reference implementation of [`run`] (same contexts, same
-/// sharing, one scenario at a time). Kept callable for benchmarking and
-/// the determinism integration test.
+/// store sharing, one scenario at a time). Kept callable for
+/// benchmarking and the determinism integration test.
 pub fn run_sequential(scenarios: &[Scenario]) -> Vec<Result<TechStudy, FlowError>> {
     run_sequential_with_store(scenarios, None)
 }
@@ -80,18 +84,23 @@ pub fn run_sequential_with_store(
         .collect()
 }
 
-/// One context per scenario: clean scenarios share a front end (and the
-/// artifact store, when given), faulty ones are fully private (a shared
-/// memo plus an armed `partition.split` fault would make *which*
-/// scenario surfaces the fault a race, and a store write from a faulted
-/// run could poison every later scenario).
+/// One context per scenario: clean scenarios share one store and a
+/// front end over it, faulty ones are fully private (a shared store
+/// plus an armed `partition.split` fault would make *which* scenario
+/// surfaces the fault a race, and a hit on a sibling's artifact would
+/// skip the armed site altogether).
 fn build_contexts(scenarios: &[Scenario], store: Option<Arc<ArtifactStore>>) -> Vec<StudyContext> {
-    let shared = Arc::new(FrontEnd::with_store(store.clone()));
+    let store = store.unwrap_or_else(|| Arc::new(ArtifactStore::in_memory()));
+    let shared = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
     scenarios
         .iter()
         .map(|scenario| {
             if scenario.is_clean() {
-                StudyContext::for_scenario_with(scenario, Arc::clone(&shared), store.clone())
+                StudyContext::for_scenario_with(
+                    scenario,
+                    Arc::clone(&shared),
+                    Some(Arc::clone(&store)),
+                )
             } else {
                 StudyContext::for_scenario(scenario)
             }

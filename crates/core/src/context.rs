@@ -1,39 +1,41 @@
-//! Scenario-scoped study contexts: the memoized artifact chain that used
-//! to live in process-wide statics, now owned per scenario.
+//! Scenario-scoped study contexts over one artifact store.
 //!
-//! A [`StudyContext`] owns every cached artifact one scenario's study
-//! needs — the netlist front end (design → hierarchical L3 split →
-//! chipletized netlists), the per-technology chiplet reports, the routed
-//! interposer layouts and the thermal reports. Batch runs build one
-//! context per scenario, so nothing a scenario computes (or fails to
-//! compute) can leak into another scenario's results.
+//! A [`StudyContext`] is a label, the scenario's resolved
+//! [`InterposerSpec`]s, a [`FrontEnd`] and an [`ArtifactStore`]. Every
+//! artifact accessor — chiplet reports, routed layouts, Table V link
+//! rows, thermal reports, and the front end's split and chipletized
+//! netlists — is one store lookup under the stage's key, computing only
+//! on a miss. The store is the only memo: contexts that share a store
+//! share every artifact whose stage key coincides, and contexts with
+//! private stores share nothing.
 //!
-//! The spec-independent front end is factored into [`FrontEnd`] so
-//! *clean* scenarios in a batch can share one split instead of
-//! re-partitioning per scenario; everything downstream depends on the
-//! scenario's resolved [`InterposerSpec`]s and stays private.
+//! Who shares what:
 //!
-//! [`default_context`] is the lazily-built context for the paper-default
-//! configuration. It shares its layout and thermal caches with the
-//! legacy [`interposer::report::cached_layout`] /
-//! [`thermal::report::analyze_tech`] shims, so the old entry points and
-//! the context path never compute the same artifact twice.
+//! * a batch ([`crate::batch`]) builds one store per call, shared by its
+//!   clean scenarios and their common front end; fault-armed scenarios
+//!   get a private throwaway store;
+//! * [`StudyContext::paper`], [`StudyContext::for_scenario`] and
+//!   [`StudyContext::for_scenario_with`] without a store each get a
+//!   fresh private store;
+//! * [`default_context`] runs over [`techlib::store::process_store`],
+//!   the store behind the legacy [`interposer::report::cached_layout`] /
+//!   [`thermal::report::analyze_tech`] shims, so the old entry points
+//!   and the context path never compute the same artifact twice.
 
 use crate::scenario::Scenario;
 use crate::table5::{MonitorLengths, Table5Row};
 use crate::FlowError;
 use chiplet::report::ChipletReport;
-use interposer::report::{InterposerLayout, LayoutCache};
+use interposer::report::InterposerLayout;
 use netlist::chiplet_netlist::ChipletNetlist;
 use netlist::design::Design;
 use netlist::partition::Partition;
 use netlist::serdes::SerdesPlan;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use techlib::memo::ArcMemo;
 use techlib::spec::{InterposerKind, InterposerSpec};
 use techlib::store::{ArtifactStore, Codec, KeyHasher, StoreKey};
-use thermal::report::{ThermalCache, ThermalReport};
+use thermal::report::ThermalReport;
 
 /// Algorithm version of the hierarchical-split stage. Bump when the
 /// partitioner or the serialized [`Partition`] shape changes.
@@ -43,32 +45,16 @@ pub const SPLIT_STAGE_VERSION: u32 = 1;
 /// or the serialized [`ChipletNetlist`] shape changes.
 pub const NETLISTS_STAGE_VERSION: u32 = 1;
 
-fn partition_codec() -> Codec<Partition> {
+/// JSON codec for any serde round-trippable artifact.
+fn json_codec<T: serde::Serialize + serde::DeserializeOwned>() -> Codec<T> {
     Codec {
         encode: |v| serde_json::to_string(v).ok(),
         decode: |s| serde_json::from_str_typed(s).ok(),
     }
 }
 
-fn netlists_codec() -> Codec<(ChipletNetlist, ChipletNetlist)> {
-    Codec {
-        encode: |v| serde_json::to_string(v).ok(),
-        decode: |s| serde_json::from_str_typed(s).ok(),
-    }
-}
-
-fn reports_codec() -> Codec<(ChipletReport, ChipletReport)> {
-    Codec {
-        encode: |v| serde_json::to_string(v).ok(),
-        decode: |s| serde_json::from_str_typed(s).ok(),
-    }
-}
-
-fn links_codec() -> Codec<Table5Row> {
-    Codec {
-        encode: |v| serde_json::to_string(v).ok(),
-        decode: |s| serde_json::from_str_typed(s).ok(),
-    }
+fn count(counter: &AtomicUsize) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The spec-independent front end of the flow: the two-tile OpenPiton
@@ -76,40 +62,40 @@ fn links_codec() -> Codec<Table5Row> {
 /// netlists. None of these depend on an [`InterposerSpec`], so clean
 /// scenarios may share one `FrontEnd` through an [`Arc`].
 ///
-/// Only **successes** are memoized: a failure (including one injected at
-/// the `partition.split` fault site) is returned to the caller and the
-/// next call recomputes, so errors never poison the cache.
-#[derive(Debug, Default)]
+/// The split and the netlists live in the front end's store. Only
+/// **successes** are stored: a failure (including one injected at the
+/// `partition.split` fault site) is returned to the caller and the next
+/// call recomputes, so errors never poison the store.
+#[derive(Debug)]
 pub struct FrontEnd {
     design: OnceLock<Arc<Design>>,
-    split: ArcMemo<Partition>,
-    netlists: ArcMemo<(ChipletNetlist, ChipletNetlist)>,
-    store: Option<Arc<ArtifactStore>>,
+    store: Arc<ArtifactStore>,
     split_computes: AtomicUsize,
     netlists_computes: AtomicUsize,
 }
 
+impl Default for FrontEnd {
+    fn default() -> FrontEnd {
+        FrontEnd::new()
+    }
+}
+
 impl FrontEnd {
-    /// Creates an empty front end with no artifact store behind it.
-    pub const fn new() -> FrontEnd {
-        FrontEnd {
-            design: OnceLock::new(),
-            split: ArcMemo::new(),
-            netlists: ArcMemo::new(),
-            store: None,
-            split_computes: AtomicUsize::new(0),
-            netlists_computes: AtomicUsize::new(0),
-        }
+    /// A front end over a fresh private in-memory store.
+    pub fn new() -> FrontEnd {
+        FrontEnd::with_store(Arc::new(ArtifactStore::in_memory()))
     }
 
-    /// A front end whose split/chipletize artifacts go through `store`
-    /// (when one is given) behind the local memo cells, so a second
-    /// process — or a second front end over the same `--cache-dir` —
-    /// reuses the persisted split instead of re-partitioning.
-    pub fn with_store(store: Option<Arc<ArtifactStore>>) -> FrontEnd {
+    /// A front end whose split/chipletize artifacts live in `store`, so
+    /// every front end over the same store — and, with a disk tier,
+    /// every later process over the same `--cache-dir` — reuses one
+    /// split instead of re-partitioning.
+    pub fn with_store(store: Arc<ArtifactStore>) -> FrontEnd {
         FrontEnd {
+            design: OnceLock::new(),
             store,
-            ..FrontEnd::new()
+            split_computes: AtomicUsize::new(0),
+            netlists_computes: AtomicUsize::new(0),
         }
     }
 
@@ -135,7 +121,8 @@ impl FrontEnd {
         h.finish()
     }
 
-    /// The two-tile OpenPiton-like design (infallible, built once).
+    /// The two-tile OpenPiton-like design (infallible, built once per
+    /// front end; it is the flow's fixed input, not a stage artifact).
     pub fn design(&self) -> Arc<Design> {
         Arc::clone(
             self.design
@@ -147,21 +134,14 @@ impl FrontEnd {
     ///
     /// # Errors
     ///
-    /// Partitioning failure (not memoized — errors never reach the memo
-    /// cell or the store).
+    /// Partitioning failure (never stored).
     pub fn split(&self) -> Result<Arc<Partition>, FlowError> {
-        let compute = || {
-            self.split_computes.fetch_add(1, Ordering::Relaxed);
-            netlist::partition::hierarchical_l3_split(&self.design()).map_err(FlowError::from)
-        };
-        match &self.store {
-            Some(store) => self.split.get_or_try_arc(|| {
-                store
-                    .get_or_compute(FrontEnd::split_key(), &partition_codec(), compute)
-                    .map(|(v, _)| v)
-            }),
-            None => self.split.get_or_try_arc(|| compute().map(Arc::new)),
-        }
+        self.store
+            .get_or_compute(FrontEnd::split_key(), &json_codec(), || {
+                count(&self.split_computes);
+                netlist::partition::hierarchical_l3_split(&self.design()).map_err(FlowError::from)
+            })
+            .map(|(split, _)| split)
     }
 
     /// The chipletized (logic, memory) netlists with the paper's SerDes
@@ -169,30 +149,24 @@ impl FrontEnd {
     ///
     /// # Errors
     ///
-    /// Partitioning failure (not memoized).
+    /// Partitioning failure (never stored).
     pub fn chiplet_netlists(&self) -> Result<Arc<(ChipletNetlist, ChipletNetlist)>, FlowError> {
-        let compute = || {
-            let split = self.split()?;
-            self.netlists_computes.fetch_add(1, Ordering::Relaxed);
-            Ok(netlist::chiplet_netlist::chipletize(
-                &self.design(),
-                &split,
-                &SerdesPlan::paper(),
-            ))
-        };
-        match &self.store {
-            Some(store) => self.netlists.get_or_try_arc(|| {
-                store
-                    .get_or_compute(FrontEnd::netlists_key(), &netlists_codec(), compute)
-                    .map(|(v, _)| v)
-            }),
-            None => self.netlists.get_or_try_arc(|| compute().map(Arc::new)),
-        }
+        self.store
+            .get_or_compute(FrontEnd::netlists_key(), &json_codec(), || {
+                let split = self.split()?;
+                count(&self.netlists_computes);
+                Ok(netlist::chiplet_netlist::chipletize(
+                    &self.design(),
+                    &split,
+                    &SerdesPlan::paper(),
+                ))
+            })
+            .map(|(netlists, _)| netlists)
     }
 
     /// How many hierarchical splits this front end has actually run
-    /// (cache hits — memo or store — don't count) — the regression hook
-    /// for "shared context means one split".
+    /// (store hits don't count) — the regression hook for "shared
+    /// context means one split".
     pub fn split_compute_count(&self) -> usize {
         self.split_computes.load(Ordering::Relaxed)
     }
@@ -201,106 +175,91 @@ impl FrontEnd {
     pub fn netlists_compute_count(&self) -> usize {
         self.netlists_computes.load(Ordering::Relaxed)
     }
-
-    /// Forgets the fallible artifacts (the design itself is
-    /// deterministic and infallible, so it stays).
-    pub fn reset(&self) {
-        self.split.reset();
-        self.netlists.reset();
-    }
 }
 
-/// Every memoized artifact one scenario's study needs, resolved against
-/// that scenario's overridden specs. Shared by `Arc` between the flow
-/// stages and (for the default context) the legacy shims.
+/// One scenario's view of the flow: its label and resolved specs, the
+/// front end it shares, and the artifact store every spec-dependent
+/// stage goes through. Per-stage counters record the computes this
+/// context actually ran (store hits don't count).
 #[derive(Debug)]
 pub struct StudyContext {
     label: String,
     specs: [InterposerSpec; InterposerKind::COUNT],
     frontend: Arc<FrontEnd>,
-    store: Option<Arc<ArtifactStore>>,
-    reports: [ArcMemo<(ChipletReport, ChipletReport)>; InterposerKind::COUNT],
+    store: Arc<ArtifactStore>,
     report_computes: AtomicUsize,
-    links: [[ArcMemo<Table5Row>; 2]; InterposerKind::COUNT],
+    layout_computes: AtomicUsize,
     links_computes: AtomicUsize,
-    layouts: Arc<LayoutCache>,
-    thermal: Arc<ThermalCache>,
-}
-
-/// The per-technology links cache slot for a monitored-length mode.
-fn mode_slot(mode: MonitorLengths) -> usize {
-    match mode {
-        MonitorLengths::Routed => 0,
-        MonitorLengths::Paper => 1,
-    }
+    thermal_computes: AtomicUsize,
 }
 
 impl StudyContext {
-    /// A fresh context serving the paper-default Table I specs, with
-    /// private caches (unlike [`default_context`], which shares its
-    /// layout/thermal caches with the legacy shims).
+    /// A fresh context serving the paper-default Table I specs over a
+    /// private store (unlike [`default_context`], which shares the
+    /// process-wide store with the legacy shims).
     pub fn paper() -> StudyContext {
-        StudyContext::with_parts(
+        StudyContext::over(
             "paper".to_string(),
             default_specs(),
-            Arc::new(FrontEnd::new()),
+            Arc::new(ArtifactStore::in_memory()),
         )
     }
 
-    /// A private context for `scenario`: its own front end and caches.
+    /// A private context for `scenario`: its own front end and store.
     pub fn for_scenario(scenario: &Scenario) -> StudyContext {
-        StudyContext::with_parts(
+        StudyContext::over(
             scenario.name().to_string(),
             scenario_specs(scenario),
-            Arc::new(FrontEnd::new()),
+            Arc::new(ArtifactStore::in_memory()),
         )
     }
 
-    /// A context for `scenario` sharing an existing front end (the batch
-    /// engine passes one shared front end to every *clean* scenario; the
-    /// spec-dependent caches stay private because each scenario's specs
-    /// differ).
-    pub fn for_scenario_shared(scenario: &Scenario, frontend: Arc<FrontEnd>) -> StudyContext {
-        StudyContext::for_scenario_with(scenario, frontend, None)
-    }
-
-    /// [`StudyContext::for_scenario_shared`] with an optional shared
-    /// [`ArtifactStore`] behind every spec-dependent cache: scenarios
-    /// whose stage keys coincide (same projected spec fields, same
-    /// upstream keys) share one computation *across contexts*, and —
-    /// when the store has a disk tier — across processes. Pass a store
-    /// only for clean scenarios: fault-armed runs must never read from
-    /// or write to shared state (the batch layer enforces this).
+    /// A context for `scenario` sharing an existing front end and,
+    /// when one is given, an artifact store: scenarios whose stage keys
+    /// coincide (same projected spec fields, same upstream keys) share
+    /// one computation *across contexts*, and — when the store has a
+    /// disk tier — across processes. Without a store the context gets a
+    /// fresh private one. Share a store only between clean scenarios:
+    /// a fault-armed run must neither read a sibling's artifact nor
+    /// leave one behind (the batch layer enforces this).
     pub fn for_scenario_with(
         scenario: &Scenario,
         frontend: Arc<FrontEnd>,
         store: Option<Arc<ArtifactStore>>,
     ) -> StudyContext {
-        let mut ctx = StudyContext::with_parts(
+        StudyContext::new(
             scenario.name().to_string(),
             scenario_specs(scenario),
             frontend,
-        );
-        ctx.store = store;
-        ctx
+            store.unwrap_or_else(|| Arc::new(ArtifactStore::in_memory())),
+        )
     }
 
-    fn with_parts(
+    /// A context whose front end runs over the same `store`.
+    fn over(
+        label: String,
+        specs: [InterposerSpec; InterposerKind::COUNT],
+        store: Arc<ArtifactStore>,
+    ) -> StudyContext {
+        let frontend = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
+        StudyContext::new(label, specs, frontend, store)
+    }
+
+    fn new(
         label: String,
         specs: [InterposerSpec; InterposerKind::COUNT],
         frontend: Arc<FrontEnd>,
+        store: Arc<ArtifactStore>,
     ) -> StudyContext {
         StudyContext {
             label,
             specs,
             frontend,
-            store: None,
-            reports: [const { ArcMemo::new() }; InterposerKind::COUNT],
+            store,
             report_computes: AtomicUsize::new(0),
-            links: [const { [const { ArcMemo::new() }; 2] }; InterposerKind::COUNT],
+            layout_computes: AtomicUsize::new(0),
             links_computes: AtomicUsize::new(0),
-            layouts: Arc::new(LayoutCache::new()),
-            thermal: Arc::new(ThermalCache::new()),
+            thermal_computes: AtomicUsize::new(0),
         }
     }
 
@@ -319,10 +278,9 @@ impl StudyContext {
         &self.frontend
     }
 
-    /// The shared artifact store behind this context's caches, when one
-    /// was attached at construction.
-    pub fn store(&self) -> Option<&ArtifactStore> {
-        self.store.as_deref()
+    /// The artifact store behind this context's spec-dependent stages.
+    pub fn store(&self) -> &ArtifactStore {
+        &self.store
     }
 
     /// The two-tile OpenPiton-like design.
@@ -334,7 +292,7 @@ impl StudyContext {
     ///
     /// # Errors
     ///
-    /// Partitioning failure (not memoized).
+    /// Partitioning failure (never stored).
     pub fn split(&self) -> Result<Arc<Partition>, FlowError> {
         self.frontend.split()
     }
@@ -343,7 +301,7 @@ impl StudyContext {
     ///
     /// # Errors
     ///
-    /// Partitioning failure (not memoized).
+    /// Partitioning failure (never stored).
     pub fn chiplet_netlists(&self) -> Result<Arc<(ChipletNetlist, ChipletNetlist)>, FlowError> {
         self.frontend.chiplet_netlists()
     }
@@ -353,32 +311,21 @@ impl StudyContext {
     ///
     /// # Errors
     ///
-    /// Partitioning or placement failure (not memoized).
+    /// Partitioning or placement failure (never stored).
     pub fn chiplet_reports(
         &self,
         tech: InterposerKind,
     ) -> Result<Arc<(ChipletReport, ChipletReport)>, FlowError> {
-        self.reports[tech.index()].get_or_try_arc(|| {
-            let netlists = self.frontend.chiplet_netlists()?;
-            let compute = || {
-                self.report_computes.fetch_add(1, Ordering::Relaxed);
+        let spec = self.spec(tech);
+        let key = chiplet::report::reports_store_key(spec, FrontEnd::netlists_key());
+        self.store
+            .get_or_compute(key, &json_codec(), || {
+                let netlists = self.frontend.chiplet_netlists()?;
+                count(&self.report_computes);
                 let (logic_nl, mem_nl) = &*netlists;
-                chiplet::report::analyze_pair_with(logic_nl, mem_nl, self.spec(tech))
-                    .map_err(FlowError::from)
-            };
-            match &self.store {
-                Some(store) => {
-                    let key = chiplet::report::reports_store_key(
-                        self.spec(tech),
-                        FrontEnd::netlists_key(),
-                    );
-                    store
-                        .get_or_compute(key, &reports_codec(), compute)
-                        .map(|(pair, _)| pair)
-                }
-                None => compute().map(Arc::new),
-            }
-        })
+                chiplet::report::analyze_pair_with(logic_nl, mem_nl, spec).map_err(FlowError::from)
+            })
+            .map(|(pair, _)| pair)
     }
 
     /// The routed interposer layout for `tech` (Table IV) against this
@@ -390,43 +337,35 @@ impl StudyContext {
     /// [`interposer::RouteError::NoInterposer`] for technologies without
     /// a routed interposer.
     pub fn layout(&self, tech: InterposerKind) -> Result<Arc<InterposerLayout>, FlowError> {
-        self.layouts
-            .layout_via(self.spec(tech), self.store.as_deref())
-            .map_err(FlowError::from)
+        interposer::report::layout_in(&self.store, self.spec(tech), || {
+            count(&self.layout_computes);
+        })
+        .map_err(FlowError::from)
     }
 
     /// The Table V link row for `tech` in `mode` — the cached form
     /// behind [`crate::table5::row_in`]. Channel extraction (and with it
     /// the `extract.channels` fault site and any routed-layout pull)
     /// runs on every call; only the transient link simulations are
-    /// cached, keyed by the extracted channels and the full resolved
+    /// stored, keyed by the extracted channels and the full resolved
     /// specs of the technologies they terminate on.
     ///
     /// # Errors
     ///
-    /// Routing and simulation failures (not memoized).
+    /// Routing and simulation failures (never stored).
     pub fn links_row(
         &self,
         tech: InterposerKind,
         mode: MonitorLengths,
     ) -> Result<Arc<Table5Row>, FlowError> {
         let (l2m, l2l) = crate::table5::channels_for_in(self, tech, mode)?;
-        let cell = &self.links[tech.index()][mode_slot(mode)];
-        let compute = || {
-            self.links_computes.fetch_add(1, Ordering::Relaxed);
-            crate::table5::simulate_row(self, tech, &l2m, &l2l)
-        };
-        match &self.store {
-            Some(store) => {
-                let key = crate::table5::links_store_key(self, tech, &l2m, &l2l);
-                cell.get_or_try_arc(|| {
-                    store
-                        .get_or_compute(key, &links_codec(), compute)
-                        .map(|(row, _)| row)
-                })
-            }
-            None => cell.get_or_try_arc(|| compute().map(Arc::new)),
-        }
+        let key = crate::table5::links_store_key(self, tech, &l2m, &l2l);
+        self.store
+            .get_or_compute(key, &json_codec(), || {
+                count(&self.links_computes);
+                crate::table5::simulate_row(self, tech, &l2m, &l2l)
+            })
+            .map(|(row, _)| row)
     }
 
     /// The thermal report for `tech` (Fig. 17) against this context's
@@ -434,11 +373,13 @@ impl StudyContext {
     ///
     /// # Errors
     ///
-    /// Thermal model or solver failure.
+    /// Thermal model or solver failure, or the armed `thermal.solve`
+    /// fault site.
     pub fn thermal_report(&self, tech: InterposerKind) -> Result<Arc<ThermalReport>, FlowError> {
-        self.thermal
-            .analyze_via(self.spec(tech), self.store.as_deref())
-            .map_err(FlowError::from)
+        thermal::report::analyze_in(&self.store, self.spec(tech), || {
+            count(&self.thermal_computes);
+        })
+        .map_err(FlowError::from)
     }
 
     /// Total artifact computations this context has actually run, by
@@ -449,28 +390,10 @@ impl StudyContext {
             split: self.frontend.split_compute_count(),
             netlists: self.frontend.netlists_compute_count(),
             reports: self.report_computes.load(Ordering::Relaxed),
-            layouts: self.layouts.compute_count(),
+            layouts: self.layout_computes.load(Ordering::Relaxed),
             links: self.links_computes.load(Ordering::Relaxed),
-            thermal: self.thermal.compute_count(),
+            thermal: self.thermal_computes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Forgets every fallible cached artifact (front end, reports,
-    /// links, layouts, thermal) so the next calls recompute. Outstanding
-    /// `Arc` handles stay valid on their own. The shared store, if any,
-    /// is deliberately *not* cleared — it may serve other contexts.
-    pub fn reset(&self) {
-        self.frontend.reset();
-        for cell in &self.reports {
-            cell.reset();
-        }
-        for per_tech in &self.links {
-            for cell in per_tech {
-                cell.reset();
-            }
-        }
-        self.layouts.reset();
-        self.thermal.reset();
     }
 }
 
@@ -508,25 +431,19 @@ fn scenario_specs(scenario: &Scenario) -> [InterposerSpec; InterposerKind::COUNT
 
 /// The process-wide context for the **paper default** configuration —
 /// what the legacy `run_tech` / `table5` / `fullchip` entry points use.
-/// Its layout and thermal caches are the same objects behind
-/// [`interposer::report::cached_layout`] and
+/// It and its front end run over [`techlib::store::process_store`], the
+/// store behind [`interposer::report::cached_layout`] and
 /// [`thermal::report::analyze_tech`], so the legacy shims and the
-/// context path share one set of computations.
+/// context path share one set of computations. Tests that need a cold
+/// default context call `default_context().store().clear()`.
 pub fn default_context() -> Arc<StudyContext> {
     static DEFAULT: OnceLock<Arc<StudyContext>> = OnceLock::new();
     Arc::clone(DEFAULT.get_or_init(|| {
-        Arc::new(StudyContext {
-            label: "paper".to_string(),
-            specs: default_specs(),
-            frontend: Arc::new(FrontEnd::new()),
-            store: None,
-            reports: [const { ArcMemo::new() }; InterposerKind::COUNT],
-            report_computes: AtomicUsize::new(0),
-            links: [const { [const { ArcMemo::new() }; 2] }; InterposerKind::COUNT],
-            links_computes: AtomicUsize::new(0),
-            layouts: interposer::report::default_layout_cache(),
-            thermal: thermal::report::default_thermal_cache(),
-        })
+        Arc::new(StudyContext::over(
+            "paper".to_string(),
+            default_specs(),
+            techlib::store::process_store(),
+        ))
     }))
 }
 
@@ -549,19 +466,21 @@ mod tests {
     #[test]
     fn contexts_are_isolated_but_can_share_a_frontend() {
         let shared = Arc::new(FrontEnd::new());
-        let a = StudyContext::for_scenario_shared(
+        let a = StudyContext::for_scenario_with(
             &Scenario::paper(InterposerKind::Glass25D),
             Arc::clone(&shared),
+            None,
         );
-        let b = StudyContext::for_scenario_shared(
+        let b = StudyContext::for_scenario_with(
             &Scenario::paper(InterposerKind::Glass3D),
             Arc::clone(&shared),
+            None,
         );
         let na = a.chiplet_netlists().unwrap();
         let nb = b.chiplet_netlists().unwrap();
         assert!(Arc::ptr_eq(&na, &nb), "one split for clean scenarios");
         assert_eq!(shared.split_compute_count(), 1);
-        // Downstream, spec-dependent caches stay private.
+        // Without a shared store, downstream artifacts stay private.
         let ra = a.chiplet_reports(InterposerKind::Glass25D).unwrap();
         let rb = b.chiplet_reports(InterposerKind::Glass25D).unwrap();
         assert!(!Arc::ptr_eq(&ra, &rb));
@@ -594,5 +513,52 @@ mod tests {
             Arc::ptr_eq(&via_ctx, &via_shim),
             "no double compute between paths"
         );
+    }
+
+    #[test]
+    fn artifacts_are_shared_by_handle() {
+        // Two calls return the same Arc — the second is a store hit.
+        let ctx = default_context();
+        assert!(Arc::ptr_eq(&ctx.design(), &ctx.design()));
+        assert!(Arc::ptr_eq(&ctx.split().unwrap(), &ctx.split().unwrap()));
+        assert!(Arc::ptr_eq(
+            &ctx.chiplet_netlists().unwrap(),
+            &ctx.chiplet_netlists().unwrap()
+        ));
+        let a = ctx.chiplet_reports(InterposerKind::Glass25D).unwrap();
+        let b = ctx.chiplet_reports(InterposerKind::Glass25D).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn cached_artifacts_match_a_fresh_derivation() {
+        let fresh_design = netlist::openpiton::two_tile_openpiton();
+        let fresh_split = netlist::partition::hierarchical_l3_split(&fresh_design).unwrap();
+        let (fresh_logic, fresh_mem) =
+            netlist::chiplet_netlist::chipletize(&fresh_design, &fresh_split, &SerdesPlan::paper());
+        let ctx = default_context();
+        let netlists = ctx.chiplet_netlists().unwrap();
+        let (logic_nl, mem_nl) = &*netlists;
+        assert_eq!(logic_nl.signal_pins, fresh_logic.signal_pins);
+        assert_eq!(mem_nl.signal_pins, fresh_mem.signal_pins);
+        let pair = ctx.chiplet_reports(InterposerKind::Glass3D).unwrap();
+        let (logic, memory) = &*pair;
+        let (fl, fm) =
+            chiplet::report::analyze_pair(&fresh_logic, &fresh_mem, InterposerKind::Glass3D)
+                .unwrap();
+        assert_eq!(logic.footprint_mm, fl.footprint_mm);
+        assert_eq!(memory.fmax_mhz, fm.fmax_mhz);
+        assert_eq!(logic.wirelength_m, fl.wirelength_m);
+    }
+
+    #[test]
+    fn reports_cover_all_packaged_techs() {
+        let ctx = default_context();
+        for tech in InterposerKind::PACKAGED {
+            let pair = ctx.chiplet_reports(tech).unwrap();
+            let (logic, memory) = &*pair;
+            assert!(logic.fmax_mhz > 0.0, "{tech}");
+            assert!(memory.fmax_mhz > 0.0, "{tech}");
+        }
     }
 }

@@ -59,7 +59,7 @@ pub fn run_tech_with(tech: InterposerKind, mode: MonitorLengths) -> Result<TechS
 
 /// Runs the flow for `tech` against an explicit study context — the
 /// scenario-scoped form. Every artifact (chiplet reports, routed
-/// layout, link channels, thermal field) comes from `ctx`'s caches and
+/// layout, link channels, thermal field) comes from `ctx`'s store and
 /// resolved specs.
 ///
 /// # Errors
@@ -71,16 +71,16 @@ pub fn run_tech_in(
     mode: MonitorLengths,
 ) -> Result<TechStudy, FlowError> {
     // Observability: attribute every span below to this (scenario, tech)
-    // pair, and walk the memoized front-end chain stage by stage so each
-    // run records one span per stage even when the artifact is a cache
+    // pair, and walk the stored front-end chain stage by stage so each
+    // run records one span per stage even when the artifact is a store
     // hit. The explicit walk is semantically identical to letting
-    // `chiplet_reports` pull the chain in — same memo cells, same error
-    // propagation order (split before chipletize before placement).
+    // `chiplet_reports` pull the chain in — same store entries, same
+    // error propagation order (split before chipletize before placement).
     //
     // Each stage opens with a cooperative cancellation poll
     // (`techlib::cancel::check`): outside a deadline scope the poll is a
     // free no-op, inside one (the `codesign serve` request path) an
-    // expired deadline abandons the run *between* stages, so memoized
+    // expired deadline abandons the run *between* stages, so stored
     // artifacts are always either absent or complete.
     let _label = techlib::obs::label_scope_with(|| format!("{}:{}", ctx.label(), tech.label()));
     {

@@ -23,7 +23,6 @@
 //! # Ok::<(), codesign::FlowError>(())
 //! ```
 
-pub mod artifacts;
 pub mod batch;
 pub mod compare;
 pub mod context;

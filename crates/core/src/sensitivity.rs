@@ -7,7 +7,7 @@
 //! split → chipletize chain from scratch inside each sweep call); two
 //! sweeps sharing a context therefore share a single hierarchical split.
 //! The sweeps perturb a *copy* of the context's resolved spec at each
-//! point — the context's own caches see only its canonical specs.
+//! point — the context's store sees only its canonical specs.
 
 use crate::context::StudyContext;
 use crate::FlowError;

@@ -61,10 +61,10 @@
 //! * **Context pool** — clean scenarios are keyed by their resolved
 //!   [`techlib::spec::InterposerSpec`] array; repeated keys reuse one
 //!   warm [`StudyContext`] (and all clean scenarios share one
-//!   [`FrontEnd`]), so a repeated scenario is served from memoized
-//!   artifacts. Scenarios with fault sites always get private,
-//!   unpooled contexts — injected failures must never poison a shared
-//!   cache.
+//!   [`FrontEnd`] and one artifact store), so a repeated scenario is
+//!   served from stored artifacts. Scenarios with fault sites always
+//!   get private, unpooled contexts over private stores — injected
+//!   failures must never poison a shared cache.
 //! * **Worker lease** — concurrent requests partition the machine
 //!   through a [`techlib::par::LeasePool`] instead of each fanning out
 //!   at full width. The granted width shapes wall-clock only; response
@@ -162,21 +162,29 @@ impl Default for ServeConfig {
 /// A warm [`StudyContext`] pool keyed by resolved spec set.
 ///
 /// Clean scenarios resolving to the same [`InterposerSpec`] array share
-/// one context — and through it every memoized artifact — across
-/// requests; all pooled contexts additionally share one [`FrontEnd`]
-/// (the spec-independent design/split/chipletize chain). Faulty
-/// scenarios always get fresh private contexts and are never pooled.
-#[derive(Debug, Default)]
+/// one context across requests; every pooled context runs over the
+/// pool's one [`ArtifactStore`] and one [`FrontEnd`] (the
+/// spec-independent design/split/chipletize chain) over it, so
+/// differently-specced contexts still share every artifact whose stage
+/// key coincides. Faulty scenarios always get fresh private contexts
+/// over private stores and are never pooled.
+#[derive(Debug)]
 pub struct ContextPool {
     frontend: Arc<FrontEnd>,
-    store: Option<Arc<ArtifactStore>>,
+    store: Arc<ArtifactStore>,
     contexts: Mutex<HashMap<String, Arc<StudyContext>>>,
 }
 
+impl Default for ContextPool {
+    fn default() -> ContextPool {
+        ContextPool::new()
+    }
+}
+
 impl ContextPool {
-    /// An empty pool with no artifact store.
+    /// An empty pool over a fresh in-memory artifact store.
     pub fn new() -> ContextPool {
-        ContextPool::default()
+        ContextPool::with_store(Arc::new(ArtifactStore::in_memory()))
     }
 
     /// An empty pool whose clean contexts share `store` (in addition to
@@ -185,15 +193,15 @@ impl ContextPool {
     /// and across restarts when it has a disk tier).
     pub fn with_store(store: Arc<ArtifactStore>) -> ContextPool {
         ContextPool {
-            frontend: Arc::new(FrontEnd::with_store(Some(Arc::clone(&store)))),
-            store: Some(store),
+            frontend: Arc::new(FrontEnd::with_store(Arc::clone(&store))),
+            store,
             contexts: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The pool's shared store, when one was attached.
-    pub fn store(&self) -> Option<&ArtifactStore> {
-        self.store.as_deref()
+    /// The pool's shared store.
+    pub fn store(&self) -> &ArtifactStore {
+        &self.store
     }
 
     /// The context to run `scenario` in, plus whether it was a pool
@@ -218,7 +226,7 @@ impl ContextPool {
         let ctx = Arc::new(StudyContext::for_scenario_with(
             scenario,
             Arc::clone(&self.frontend),
-            self.store.clone(),
+            Some(Arc::clone(&self.store)),
         ));
         map.insert(key, Arc::clone(&ctx));
         Ok((ctx, false))
@@ -1136,11 +1144,7 @@ fn stats_body(shared: &Shared) -> String {
     } else {
         0.0
     };
-    let store = shared
-        .pool
-        .store()
-        .map(ArtifactStore::stats)
-        .unwrap_or_default();
+    let store = shared.pool.store().stats();
     format!(
         concat!(
             "{{\"queue_depth\":{},\"in_flight\":{},\"workers\":{},",

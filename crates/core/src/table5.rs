@@ -62,7 +62,7 @@ pub fn channels_for(
 }
 
 /// The two channels monitored for `tech`, with routed lengths and
-/// stacking taken from `ctx`'s resolved spec and layout cache.
+/// stacking taken from `ctx`'s resolved spec and stored layout.
 ///
 /// # Errors
 ///
@@ -219,8 +219,8 @@ pub fn row(tech: InterposerKind, mode: MonitorLengths) -> Result<Table5Row, Flow
 /// Builds one Table V row against an explicit context: each link is
 /// simulated with the spec of the channel's own technology as resolved
 /// by `ctx` (scenario overrides reach the RLGC extraction and the bump
-/// models). Rows are memoized per (technology, mode) in `ctx` — and
-/// shared through its artifact store when one is attached.
+/// models). Rows are stored in `ctx`'s artifact store under the links
+/// stage key, so contexts sharing a store share identical rows.
 ///
 /// # Errors
 ///

@@ -1,12 +1,12 @@
-//! One-call interposer place-and-route, with scenario-scoped caching.
+//! One-call interposer place-and-route, cached in an artifact store.
 //!
-//! [`place_and_route_with`] is the pure computation; [`LayoutCache`]
-//! memoises one layout per technology for a single scenario (a study
-//! context owns one cache per scenario). The process-wide
-//! [`cached_layout`] shim serves the default paper configuration through
-//! a shared [`LayoutCache`] handle — see [`default_layout_cache`] — so
-//! legacy entry points and the default study context share one set of
-//! routed layouts instead of routing twice.
+//! [`place_and_route_with`] is the pure computation; [`layout_in`] looks
+//! the layout up in an [`ArtifactStore`] under [`layout_store_key`] and
+//! routes only on a miss (a study context passes its own store). The
+//! [`cached_layout`] shim serves the default paper configuration
+//! through [`techlib::store::process_store`] — the store the default
+//! study context also uses — so legacy entry points and the default
+//! context share one set of routed layouts instead of routing twice.
 
 use crate::diemap::{self, DiePlacement, NetClass};
 use crate::grid::RoutingGrid;
@@ -15,9 +15,7 @@ use crate::router::{self, RoutedNet};
 use crate::stats::RoutingStats;
 use crate::RouteError;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use techlib::memo::ArcMemo;
+use std::sync::Arc;
 use techlib::spec::{InterposerKind, InterposerSpec, Stacking};
 use techlib::store::{ArtifactStore, Codec, SpecField, StoreKey};
 
@@ -110,114 +108,43 @@ fn layout_codec() -> Codec<InterposerLayout> {
     }
 }
 
-/// A per-scenario layout cache: one memo cell per technology, each
-/// holding the routed layout for that scenario's spec. Placement and
-/// routing are deterministic, so sharing a cache's results is safe;
-/// downstream analyses (SI, PI, full-chip roll-ups, benches) reuse the
-/// cached layout instead of re-routing.
+/// The routed layout for `spec`, looked up in `store` under
+/// [`layout_store_key`]: scenarios whose specs agree on
+/// [`LAYOUT_PROJECTION`] share one routed layout — across contexts, and
+/// across processes when the store has a disk tier. Place-and-route runs
+/// only on a miss, right after `on_compute` (study contexts count their
+/// computes with it). Concurrent requests for one key route once.
 ///
-/// Each technology has its own cell, so concurrent first calls for
-/// *different* technologies place-and-route in parallel; concurrent
-/// calls for the *same* technology block until the one computation
-/// finishes. Only **successes** are memoised: an error is returned to
-/// the caller and the next call re-runs place-and-route, so transient or
-/// injected failures never poison the cache.
-#[derive(Debug, Default)]
-pub struct LayoutCache {
-    cells: [ArcMemo<InterposerLayout>; InterposerKind::COUNT],
-    computes: AtomicUsize,
-}
-
-impl LayoutCache {
-    /// Creates an empty cache.
-    pub const fn new() -> LayoutCache {
-        LayoutCache {
-            cells: [const { ArcMemo::new() }; InterposerKind::COUNT],
-            computes: AtomicUsize::new(0),
-        }
-    }
-
-    /// The cached layout for `spec` (keyed by `spec.kind`), computing it
-    /// on first use.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`place_and_route_with`]; errors are never cached.
-    pub fn layout(&self, spec: &InterposerSpec) -> Result<Arc<InterposerLayout>, RouteError> {
-        self.layout_via(spec, None)
-    }
-
-    /// [`layout`](LayoutCache::layout) with an optional shared artifact
-    /// store behind this cache's own cell. On a local miss the store is
-    /// consulted under the stage key ([`layout_store_key`]) before
-    /// place-and-route runs, so scenarios whose specs agree on
-    /// [`LAYOUT_PROJECTION`] share one routed layout — across contexts,
-    /// and across processes when the store has a disk tier. The layout is
-    /// deterministic in the projected fields, so a store hit is
-    /// indistinguishable from recomputing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`place_and_route_with`]; errors reach neither the cache
-    /// nor the store.
-    pub fn layout_via(
-        &self,
-        spec: &InterposerSpec,
-        store: Option<&ArtifactStore>,
-    ) -> Result<Arc<InterposerLayout>, RouteError> {
-        let cell = &self.cells[spec.kind.index()];
-        let compute = || {
-            self.computes.fetch_add(1, Ordering::Relaxed);
+/// # Errors
+///
+/// Same as [`place_and_route_with`]; errors never reach the store.
+pub fn layout_in(
+    store: &ArtifactStore,
+    spec: &InterposerSpec,
+    on_compute: impl FnOnce(),
+) -> Result<Arc<InterposerLayout>, RouteError> {
+    store
+        .get_or_compute(layout_store_key(spec), &layout_codec(), || {
+            on_compute();
             place_and_route_with(spec)
-        };
-        match store {
-            Some(store) => cell.get_or_try_arc(|| {
-                store
-                    .get_or_compute(layout_store_key(spec), &layout_codec(), compute)
-                    .map(|(layout, _)| layout)
-            }),
-            None => cell.get_or_try_arc(|| compute().map(Arc::new)),
-        }
-    }
-
-    /// How many place-and-route computations this cache has actually run
-    /// (cache hits — local or store — don't count; failed computes do).
-    pub fn compute_count(&self) -> usize {
-        self.computes.load(Ordering::Relaxed)
-    }
-
-    /// Forgets every cached layout so the next call re-routes.
-    /// Outstanding [`Arc`] handles stay valid on their own.
-    pub fn reset(&self) {
-        for cell in &self.cells {
-            cell.reset();
-        }
-    }
-}
-
-/// The process-wide cache behind [`cached_layout`], serving the **paper
-/// default** specs. The default study context clones this handle, so the
-/// legacy path and the default-scenario path share one set of layouts.
-pub fn default_layout_cache() -> Arc<LayoutCache> {
-    static DEFAULT: OnceLock<Arc<LayoutCache>> = OnceLock::new();
-    Arc::clone(DEFAULT.get_or_init(|| Arc::new(LayoutCache::new())))
+        })
+        .map(|(layout, _)| layout)
 }
 
 /// Returns the shared default-configuration layout for `tech`, computing
-/// it on first use. Shim over [`default_layout_cache`] — scenario code
-/// uses a per-scenario [`LayoutCache`] instead.
+/// it on first use. Shim over [`layout_in`] on
+/// [`techlib::store::process_store`] — scenario code goes through its
+/// study context's store instead.
 ///
 /// # Errors
 ///
 /// Same as [`place_and_route`].
 pub fn cached_layout(tech: InterposerKind) -> Result<Arc<InterposerLayout>, RouteError> {
-    default_layout_cache().layout(&InterposerSpec::for_kind(tech))
-}
-
-/// Forgets every layout in the **default** cache so the next
-/// [`cached_layout`] call re-routes. Test-only escape hatch.
-pub fn reset_layout_cache_for_tests() {
-    default_layout_cache().reset();
+    layout_in(
+        &techlib::store::process_store(),
+        &InterposerSpec::for_kind(tech),
+        || {},
+    )
 }
 
 /// The node count (gcells × signal layers) of the routing grid
@@ -337,15 +264,21 @@ mod tests {
 
     #[test]
     fn caches_are_isolated_and_count_computes() {
-        let a = LayoutCache::new();
-        let b = LayoutCache::new();
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let a = ArtifactStore::in_memory();
+        let b = ArtifactStore::in_memory();
+        let (a_computes, b_computes) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let count = |n: &AtomicUsize| {
+            n.fetch_add(1, Ordering::Relaxed);
+        };
         let spec = InterposerSpec::for_kind(InterposerKind::Glass3D);
-        let first = a.layout(&spec).unwrap();
-        let again = a.layout(&spec).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "same cache shares the Arc");
-        assert_eq!(a.compute_count(), 1);
-        assert_eq!(b.compute_count(), 0, "sibling cache untouched");
-        let other = b.layout(&spec).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other), "caches never share slots");
+        let first = layout_in(&a, &spec, || count(&a_computes)).unwrap();
+        let again = layout_in(&a, &spec, || count(&a_computes)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "same store shares the Arc");
+        assert_eq!(a_computes.load(Ordering::Relaxed), 1);
+        assert_eq!(b.stats().misses, 0, "sibling store untouched");
+        let other = layout_in(&b, &spec, || count(&b_computes)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other), "stores never share slots");
+        assert_eq!(b_computes.load(Ordering::Relaxed), 1);
     }
 }

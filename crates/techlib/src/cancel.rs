@@ -22,10 +22,10 @@
 //! Cancellation is **cooperative and stage-granular**: an expired
 //! deadline is only observed at the next `check`, so a stage that has
 //! already started runs to completion. That is deliberate — stages
-//! share memoized artifact caches ([`crate::memo::ArcMemo`]), and
+//! share one artifact store ([`crate::store::ArtifactStore`]), and
 //! tearing a computation down halfway could leave a sibling request
 //! waiting on an artifact that never arrives. Abandoning only at
-//! boundaries keeps every cache entry either absent or complete.
+//! boundaries keeps every store entry either absent or complete.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;

@@ -31,7 +31,6 @@ pub mod cells;
 pub mod faults;
 pub mod iodriver;
 pub mod material;
-pub mod memo;
 pub mod obs;
 pub mod par;
 pub mod reliability;

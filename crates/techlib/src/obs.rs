@@ -11,7 +11,7 @@
 //! * **Counters** ([`add`]) — monotonically increasing work totals from
 //!   the hot kernels: nets routed and speculative batch rounds in the
 //!   router, SOR sweeps in the thermal solver, LU factor/solve calls in
-//!   the circuit engine, memo-cell hits versus computes.
+//!   the circuit engine, artifact-store hits versus misses.
 //!
 //! Recording is **off by default** and near-zero-cost while off: every
 //! entry point starts with one relaxed atomic load, spans allocate
@@ -83,69 +83,63 @@ pub fn is_enabled() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter(usize);
 
-/// Memo-cell cache hits ([`crate::memo::ArcMemo`]).
-pub const MEMO_HIT: Counter = Counter(0);
-/// Memo-cell compute-closure runs (misses).
-pub const MEMO_COMPUTE: Counter = Counter(1);
 /// Nets in finished routing solutions.
-pub const ROUTER_NETS_ROUTED: Counter = Counter(2);
+pub const ROUTER_NETS_ROUTED: Counter = Counter(0);
 /// Red-black SOR sweeps run by the thermal solver.
-pub const THERMAL_SOR_SWEEPS: Counter = Counter(3);
+pub const THERMAL_SOR_SWEEPS: Counter = Counter(1);
 /// LU factorisations started by the circuit engine.
-pub const CIRCUIT_LU_FACTOR: Counter = Counter(4);
+pub const CIRCUIT_LU_FACTOR: Counter = Counter(2);
 /// LU back-substitution solves (one per transient time step).
-pub const CIRCUIT_LU_SOLVE: Counter = Counter(5);
+pub const CIRCUIT_LU_SOLVE: Counter = Counter(3);
 /// Link decks simulated by the SI engine.
-pub const SI_LINKS_SIMULATED: Counter = Counter(6);
+pub const SI_LINKS_SIMULATED: Counter = Counter(4);
 /// Priority-queue pops in the router's A* loop (including stale
 /// entries skipped without expansion).
-pub const ROUTER_HEAP_POPS: Counter = Counter(7);
+pub const ROUTER_HEAP_POPS: Counter = Counter(5);
 /// Nodes actually expanded (neighbours relaxed) by the router's A*.
-pub const ROUTER_EXPANSIONS: Counter = Counter(8);
+pub const ROUTER_EXPANSIONS: Counter = Counter(6);
 /// Windowed searches whose cost certificate failed, forcing a wider
 /// window (the last fallback is the full grid).
-pub const ROUTER_WINDOW_FALLBACKS: Counter = Counter(9);
+pub const ROUTER_WINDOW_FALLBACKS: Counter = Counter(7);
 /// Nets ripped up by the overflow-driven incremental reroute.
-pub const ROUTER_INCREMENTAL_REROUTES: Counter = Counter(10);
+pub const ROUTER_INCREMENTAL_REROUTES: Counter = Counter(8);
 /// Sweep requests admitted by the `codesign serve` daemon.
-pub const SERVE_REQUESTS: Counter = Counter(11);
+pub const SERVE_REQUESTS: Counter = Counter(9);
 /// Sweep requests rejected at admission with 429 (queue full).
-pub const SERVE_ADMISSION_REJECTS: Counter = Counter(12);
+pub const SERVE_ADMISSION_REJECTS: Counter = Counter(10);
 /// Serve requests that hit their deadline mid-flight.
-pub const SERVE_DEADLINE_HITS: Counter = Counter(13);
+pub const SERVE_DEADLINE_HITS: Counter = Counter(11);
 /// Scenario context-pool hits (a warm `StudyContext` was reused).
-pub const SERVE_CONTEXT_HITS: Counter = Counter(14);
+pub const SERVE_CONTEXT_HITS: Counter = Counter(12);
 /// Scenario context-pool misses (a fresh `StudyContext` was built).
-pub const SERVE_CONTEXT_MISSES: Counter = Counter(15);
+pub const SERVE_CONTEXT_MISSES: Counter = Counter(13);
 /// Serve requests fully executed (success or per-scenario error body).
-pub const SERVE_COMPLETED: Counter = Counter(16);
+pub const SERVE_COMPLETED: Counter = Counter(14);
 /// Artifact-store hits served from the in-memory tier.
-pub const STORE_MEM_HIT: Counter = Counter(17);
+pub const STORE_MEM_HIT: Counter = Counter(15);
 /// Artifact-store hits decoded from the on-disk tier.
-pub const STORE_DISK_HIT: Counter = Counter(18);
+pub const STORE_DISK_HIT: Counter = Counter(16);
 /// Artifact-store misses (the compute closure ran).
-pub const STORE_MISS: Counter = Counter(19);
+pub const STORE_MISS: Counter = Counter(17);
 /// Artifacts written to the on-disk tier.
-pub const STORE_WRITE: Counter = Counter(20);
+pub const STORE_WRITE: Counter = Counter(18);
 /// On-disk entries discarded as corrupt/undecodable (treated as a miss).
-pub const STORE_INVALID: Counter = Counter(21);
+pub const STORE_INVALID: Counter = Counter(19);
 /// Connections rejected at accept with 503 (handler pool at capacity).
-pub const SERVE_CONN_REJECTED: Counter = Counter(22);
+pub const SERVE_CONN_REJECTED: Counter = Counter(20);
 /// Connections aborted because the client exhausted a read budget
 /// (slowloris headers, drip-fed bodies).
-pub const SERVE_SLOW_CLIENT_ABORTS: Counter = Counter(23);
+pub const SERVE_SLOW_CLIENT_ABORTS: Counter = Counter(21);
 /// Responses aborted because the client stalled the write past the
 /// whole-response budget.
-pub const SERVE_WRITE_TIMEOUTS: Counter = Counter(24);
+pub const SERVE_WRITE_TIMEOUTS: Counter = Counter(22);
 /// Frontier entries left unexpanded at goal settlement because the
 /// corridor-sharpened heuristic priced them past the goal — expansions
 /// the plain heuristic would have paid for.
-pub const ROUTER_HEURISTIC_PRUNES: Counter = Counter(25);
+pub const ROUTER_HEURISTIC_PRUNES: Counter = Counter(23);
 
 /// Names of every registered counter, indexed by [`Counter`] handle.
-pub const COUNTER_NAMES: [&str; 26] = [
-    "memo.hit",
-    "memo.compute",
+pub const COUNTER_NAMES: [&str; 24] = [
     "router.nets_routed",
     "thermal.sor_sweeps",
     "circuit.lu_factor",
@@ -493,7 +487,7 @@ mod tests {
         // Disabled: spans are inert and counters don't move.
         assert!(!is_enabled());
         // Only counters nothing else in this crate's test binary touches
-        // are asserted exactly (memo tests bump the memo counters once
+        // are asserted exactly (store tests bump the store counters once
         // recording is on, and tests run concurrently).
         let before = counter_totals();
         {
@@ -539,7 +533,7 @@ mod tests {
 
         let table = stats_table();
         assert!(table.contains("stage.test"), "{table}");
-        assert!(table.contains("memo.hit"), "{table}");
+        assert!(table.contains("store.mem_hit"), "{table}");
 
         // Labels propagate by explicit handoff, as par workers do it.
         let label = {
@@ -567,7 +561,7 @@ mod tests {
 
         // Reset clears both kinds of evidence but keeps recording on
         // (checked via counters this test owns; concurrent tests may
-        // bump the memo counters between reset and the assertion).
+        // bump the store counters between reset and the assertion).
         reset();
         assert!(snapshot_spans().is_empty());
         let totals = counter_totals();
@@ -578,7 +572,8 @@ mod tests {
 
     #[test]
     fn counter_names_match_their_handles() {
-        assert_eq!(MEMO_HIT.name(), "memo.hit");
+        assert_eq!(ROUTER_NETS_ROUTED.name(), "router.nets_routed");
+        assert_eq!(STORE_MEM_HIT.name(), "store.mem_hit");
         assert_eq!(SI_LINKS_SIMULATED.name(), "si.links_simulated");
         assert_eq!(ROUTER_HEAP_POPS.name(), "router.heap_pops");
         assert_eq!(ROUTER_EXPANSIONS.name(), "router.expansions");

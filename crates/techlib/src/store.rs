@@ -1,4 +1,5 @@
-//! Keyed, content-addressed artifact store for the stage graph.
+//! Keyed, content-addressed artifact store for the stage graph — the
+//! one memo of the flow.
 //!
 //! The flow is a chain of stages (design → split → chiplet netlists →
 //! chiplet reports → layout → thermal → SI links); each stage's product
@@ -9,12 +10,19 @@
 //! *later* stage's knobs produce identical keys for the shared prefix
 //! and the [`ArtifactStore`] hands both the same computed artifact.
 //!
+//! Every study context owns a handle to a store, so every cached
+//! artifact of the flow lives here and nowhere else: a batch shares one
+//! store between its clean scenarios, a standalone context gets a
+//! private one, and the paper-default context shares
+//! [`process_store`] with the legacy per-crate shims.
+//!
 //! Two tiers:
 //!
 //! * **Memory** — `HashMap<StoreKey, Arc<artifact>>`; hits are pointer
 //!   clones. Concurrent first requests for one key serialize on a
-//!   per-key mutex so the compute runs exactly once (the same contract
-//!   as [`crate::memo::ArcMemo`], but shared across contexts).
+//!   per-key mutex so the compute runs exactly once; requests for
+//!   different keys proceed in parallel. [`ArtifactStore::clear`]
+//!   empties this tier.
 //! * **Disk** (optional) — one JSON file per key under
 //!   `<dir>/v{STORE_FORMAT_VERSION}/<hex-key>.json`, written
 //!   atomically (temp file + rename). Entries that fail to decode are
@@ -23,22 +31,23 @@
 //!   once. This is what makes `codesign serve` warm across restarts.
 //!
 //! The store is **success-only**: failed computes propagate their error
-//! and leave both tiers untouched, so fault-armed scenarios (which are
-//! never given a store handle at all — see `core::batch`) and transient
-//! failures cannot poison shared state. Encoding is delegated to a
-//! caller-supplied [`Codec`] so this crate stays free of any JSON
+//! and leave both tiers untouched, so transient failures cannot poison
+//! shared state. Fault-armed scenarios additionally run over a private
+//! throwaway store (see `core::batch`), so an armed fault neither reads
+//! a sibling's artifact nor leaves one behind. Encoding is delegated to
+//! a caller-supplied [`Codec`] so this crate stays free of any JSON
 //! dependency.
 //!
 //! Everything cached here is deterministic, so key identity implies
-//! byte-identical artifacts: outputs computed through the store are
-//! indistinguishable from the uncached path.
+//! byte-identical artifacts: outputs computed through a shared store are
+//! indistinguishable from those of a fresh one.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment variable the `codesign` CLI reads as a default on-disk
 /// cache directory (equivalent to passing `--cache-dir <path>`).
@@ -378,6 +387,14 @@ impl ArtifactStore {
         })
     }
 
+    /// Empties the memory tier, so the next request for any key reads
+    /// the disk tier (when there is one) or recomputes. Outstanding
+    /// [`Arc`] handles stay valid on their own; a compute in flight
+    /// finishes into a slot the store no longer holds.
+    pub fn clear(&self) {
+        lock(&self.slots).clear();
+    }
+
     /// The versioned on-disk tier directory, when one is configured.
     pub fn disk_dir(&self) -> Option<&Path> {
         self.disk.as_deref()
@@ -480,6 +497,16 @@ impl std::fmt::Debug for ArtifactStore {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
+}
+
+/// The process-wide in-memory store behind the paper-default study
+/// context and the legacy per-crate shims
+/// (`interposer::report::cached_layout`, `thermal::report::analyze_tech`):
+/// they all look artifacts up under the same stage keys here, so the
+/// old entry points and the default context never compute one twice.
+pub fn process_store() -> Arc<ArtifactStore> {
+    static STORE: OnceLock<Arc<ArtifactStore>> = OnceLock::new();
+    Arc::clone(STORE.get_or_init(|| Arc::new(ArtifactStore::in_memory())))
 }
 
 /// Writes `text` to `path` via a sibling temp file and an atomic rename,
@@ -590,6 +617,33 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         let stats = store.stats();
         assert_eq!((stats.misses, stats.mem_hits, stats.writes), (1, 1, 0));
+    }
+
+    #[test]
+    fn clear_empties_the_memory_tier_only() {
+        let dir = temp_dir("clear");
+        let store = ArtifactStore::with_disk(&dir).unwrap();
+        let k = key("s", 5.0);
+        let (first, _) = store
+            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(3))
+            .unwrap();
+        store.clear();
+        let (again, p) = store
+            .get_or_compute(k, &u64_codec(), || Err::<u64, _>("must not recompute"))
+            .unwrap();
+        assert_eq!((*again, p), (3, Provenance::DiskHit), "disk tier kept");
+        assert_eq!(*first, 3, "old handles stay valid");
+
+        let memory = ArtifactStore::in_memory();
+        memory
+            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(4))
+            .unwrap();
+        memory.clear();
+        let (_, p) = memory
+            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(4))
+            .unwrap();
+        assert_eq!(p, Provenance::Computed, "memory tier emptied");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

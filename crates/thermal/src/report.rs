@@ -4,9 +4,7 @@ use crate::model::ThermalModel;
 use crate::solver::{solve, SolveConfig, TemperatureField};
 use crate::ThermalError;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use techlib::memo::ArcMemo;
+use std::sync::Arc;
 use techlib::spec::{InterposerKind, InterposerSpec};
 use techlib::store::{ArtifactStore, Codec, SpecField, StoreKey};
 
@@ -81,118 +79,64 @@ fn thermal_codec() -> Codec<ThermalReport> {
     }
 }
 
-/// A per-scenario thermal-report cache: one memo cell per technology
-/// (the field is deterministic and each solve takes ~a second). Only
-/// **successes** are memoised — an error (including one injected at the
-/// `thermal.solve` fault site) is returned to the caller and the next
-/// call re-solves, so failures never poison the cache.
-#[derive(Debug, Default)]
-pub struct ThermalCache {
-    cells: [ArcMemo<ThermalReport>; InterposerKind::COUNT],
-    computes: AtomicUsize,
-}
-
-impl ThermalCache {
-    /// Creates an empty cache.
-    pub const fn new() -> ThermalCache {
-        ThermalCache {
-            cells: [const { ArcMemo::new() }; InterposerKind::COUNT],
-            computes: AtomicUsize::new(0),
-        }
-    }
-
-    /// The cached report for `spec` (keyed by `spec.kind`), solving on
-    /// first use.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThermalModel::for_spec`] and [`solve`], plus the
-    /// `thermal.solve` fault site (checked before the cache so an armed
-    /// fault always fires).
-    pub fn analyze(&self, spec: &InterposerSpec) -> Result<Arc<ThermalReport>, ThermalError> {
-        self.analyze_via(spec, None)
-    }
-
-    /// [`analyze`](ThermalCache::analyze) with an optional shared
-    /// artifact store behind this cache's own cell, keyed by
-    /// [`thermal_store_key`]. The `thermal.solve` fault site stays ahead
-    /// of *both* tiers, so an armed fault fires without ever touching
-    /// shared state — fault-armed scenarios are additionally given no
-    /// store at all by the batch layer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`analyze`](ThermalCache::analyze); errors reach neither
-    /// the cache nor the store.
-    pub fn analyze_via(
-        &self,
-        spec: &InterposerSpec,
-        store: Option<&ArtifactStore>,
-    ) -> Result<Arc<ThermalReport>, ThermalError> {
-        if techlib::faults::armed("thermal.solve") {
-            return Err(ThermalError::NoConvergence {
-                iterations: 0,
-                residual_k: f64::INFINITY,
-                tolerance_k: SolveConfig::default().tolerance_k,
-            });
-        }
-        let cell = &self.cells[spec.kind.index()];
-        let compute = || {
-            self.computes.fetch_add(1, Ordering::Relaxed);
-            let model = ThermalModel::for_spec(spec)?;
-            let field = solve(&model, &SolveConfig::default())?;
-            Ok(ThermalReport::from_field(&model, &field))
-        };
-        match store {
-            Some(store) => cell.get_or_try_arc(|| {
-                store
-                    .get_or_compute(thermal_store_key(spec), &thermal_codec(), compute)
-                    .map(|(report, _)| report)
-            }),
-            None => cell.get_or_try_arc(|| compute().map(Arc::new)),
-        }
-    }
-
-    /// How many thermal solves this cache has actually run (cache hits
-    /// — local or store — don't count; failed computes do).
-    pub fn compute_count(&self) -> usize {
-        self.computes.load(Ordering::Relaxed)
-    }
-
-    /// Forgets every cached report so the next call re-solves.
-    /// Outstanding [`Arc`] handles stay valid on their own.
-    pub fn reset(&self) {
-        for cell in &self.cells {
-            cell.reset();
-        }
-    }
-}
-
-/// The process-wide cache behind [`analyze_tech`], serving the **paper
-/// default** specs. The default study context clones this handle, so the
-/// legacy path and the default-scenario path share one set of solves.
-pub fn default_thermal_cache() -> Arc<ThermalCache> {
-    static DEFAULT: OnceLock<Arc<ThermalCache>> = OnceLock::new();
-    Arc::clone(DEFAULT.get_or_init(|| Arc::new(ThermalCache::new())))
-}
-
-/// Solves and reports one technology through the shared default cache.
-/// Shim over [`default_thermal_cache`] — scenario code uses a
-/// per-scenario [`ThermalCache`] instead.
+/// Builds the thermal model for `spec`, solves it and reports the peaks
+/// — the uncached computation behind [`analyze_in`].
 ///
 /// # Errors
 ///
-/// Same as [`ThermalCache::analyze`].
-pub fn analyze_tech(tech: InterposerKind) -> Result<ThermalReport, ThermalError> {
-    default_thermal_cache()
-        .analyze(&InterposerSpec::for_kind(tech))
-        .map(|r| (*r).clone())
+/// Same as [`ThermalModel::for_spec`] and [`solve`].
+pub fn analyze_with(spec: &InterposerSpec) -> Result<ThermalReport, ThermalError> {
+    let model = ThermalModel::for_spec(spec)?;
+    let field = solve(&model, &SolveConfig::default())?;
+    Ok(ThermalReport::from_field(&model, &field))
 }
 
-/// Forgets every report in the **default** cache so the next
-/// [`analyze_tech`] call re-solves. Test-only escape hatch.
-pub fn reset_report_cache_for_tests() {
-    default_thermal_cache().reset();
+/// The thermal report for `spec`, looked up in `store` under
+/// [`thermal_store_key`]: every spec sharing the [`THERMAL_PROJECTION`]
+/// shares one solve. The field is solved only on a miss, right after
+/// `on_solve` (study contexts count their solves with it). The
+/// `thermal.solve` fault site is checked ahead of the lookup, so an
+/// armed fault fires even when the report is already stored.
+///
+/// # Errors
+///
+/// Same as [`analyze_with`], plus the `thermal.solve` fault site;
+/// errors never reach the store.
+pub fn analyze_in(
+    store: &ArtifactStore,
+    spec: &InterposerSpec,
+    on_solve: impl FnOnce(),
+) -> Result<Arc<ThermalReport>, ThermalError> {
+    if techlib::faults::armed("thermal.solve") {
+        return Err(ThermalError::NoConvergence {
+            iterations: 0,
+            residual_k: f64::INFINITY,
+            tolerance_k: SolveConfig::default().tolerance_k,
+        });
+    }
+    store
+        .get_or_compute(thermal_store_key(spec), &thermal_codec(), || {
+            on_solve();
+            analyze_with(spec)
+        })
+        .map(|(report, _)| report)
+}
+
+/// Solves and reports one paper-default technology through
+/// [`techlib::store::process_store`], the store the default study
+/// context also uses. Scenario code goes through its study context's
+/// store instead.
+///
+/// # Errors
+///
+/// Same as [`analyze_in`].
+pub fn analyze_tech(tech: InterposerKind) -> Result<ThermalReport, ThermalError> {
+    analyze_in(
+        &techlib::store::process_store(),
+        &InterposerSpec::for_kind(tech),
+        || {},
+    )
+    .map(|r| (*r).clone())
 }
 
 /// The full Fig. 17 family (all six packaged assemblies).

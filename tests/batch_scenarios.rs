@@ -1,12 +1,17 @@
 //! Batch design-space engine integration tests: parallel == sequential
-//! byte-for-byte, and per-scenario fault isolation.
+//! byte-for-byte, one shared artifact store per batch that changes no
+//! byte, and per-scenario fault isolation.
 
 use codesign::batch;
+use codesign::context::{FrontEnd, StudyContext};
 use codesign::flow::TechStudy;
-use codesign::scenario::{Scenario, ScenarioOverrides};
+use codesign::scenario::{scenarios_from_json, Scenario, ScenarioOverrides};
 use codesign::table5::MonitorLengths;
 use codesign::FlowError;
-use techlib::spec::InterposerKind;
+use std::collections::HashSet;
+use std::sync::Arc;
+use techlib::spec::{InterposerKind, Stacking};
+use techlib::store::{ArtifactStore, Codec, Provenance, StoreKey};
 
 /// The paper default plus two perturbed design points.
 fn mixed_batch() -> Vec<Scenario> {
@@ -247,4 +252,120 @@ fn injected_fault_stays_inside_its_scenario() {
     assert!(!techlib::faults::armed("si.link"));
     // And the shared default context is unaffected by the whole batch.
     codesign::run_tech(InterposerKind::Glass3D).expect("default path still clean");
+}
+
+/// The `sweep_variants` shape: Glass 3D, Silicon 2.5D and Silicon 3D,
+/// each with microbump pitch and die spacing (layout knobs) and loss
+/// tangent and metal thickness (downstream knobs) at fixed values — the
+/// same list as `examples/sweep_shared_thermal.json`.
+fn twelve_variants() -> Vec<Scenario> {
+    let scenarios = scenarios_from_json(include_str!("../examples/sweep_shared_thermal.json"))
+        .expect("example scenarios parse");
+    assert_eq!(scenarios.len(), 12);
+    scenarios
+}
+
+/// Sharing one store across a batch changes no byte: every row equals
+/// the scenario run alone in its own private context.
+#[test]
+fn shared_store_batch_matches_each_scenario_alone() {
+    let scenarios = twelve_variants();
+    let alone: Vec<_> = scenarios
+        .iter()
+        .map(|s| batch::run_in_context(&StudyContext::for_scenario(s), s))
+        .collect();
+    let shared = batch::run(&scenarios).expect("batch launches");
+    assert!(shared.iter().all(Result::is_ok), "{shared:?}");
+    assert!(
+        batch::sweep_json(&scenarios, &shared).unwrap()
+            == batch::sweep_json(&scenarios, &alone).unwrap(),
+        "the shared store changed a sweep row"
+    );
+}
+
+/// One store per batch computes every stage artifact once per distinct
+/// stage key: the 12-scenario sweep solves 3 thermal fields (one per
+/// technology), not 12. The test derives every stage key the sweep
+/// needs, and the store's misses must equal their number.
+#[test]
+fn shared_store_sweep_solves_each_thermal_field_once() {
+    let scenarios = twelve_variants();
+    let store = Arc::new(ArtifactStore::in_memory());
+    let outcomes = batch::run_sequential_with_store(&scenarios, Some(Arc::clone(&store)));
+    assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+    let misses = store.stats().misses;
+
+    let frontend = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
+    let mut thermal_keys = HashSet::new();
+    let mut all_keys: HashSet<StoreKey> = [FrontEnd::split_key(), FrontEnd::netlists_key()].into();
+    for scenario in &scenarios {
+        let tech = scenario.tech();
+        let ctx = StudyContext::for_scenario_with(
+            scenario,
+            Arc::clone(&frontend),
+            Some(Arc::clone(&store)),
+        );
+        let spec = ctx.spec(tech);
+        thermal_keys.insert(thermal::report::thermal_store_key(spec));
+        all_keys.insert(chiplet::report::reports_store_key(
+            spec,
+            FrontEnd::netlists_key(),
+        ));
+        if !matches!(spec.stacking, Stacking::TsvStack | Stacking::Monolithic) {
+            all_keys.insert(interposer::report::layout_store_key(spec));
+        }
+        let (l2m, l2l) = codesign::table5::channels_for_in(&ctx, tech, scenario.mode()).unwrap();
+        all_keys.insert(codesign::table5::links_store_key(&ctx, tech, &l2m, &l2l));
+    }
+    assert_eq!(thermal_keys.len(), 3, "one thermal key per technology");
+    all_keys.extend(&thermal_keys);
+    assert_eq!(
+        misses,
+        all_keys.len() as u64,
+        "store computed {misses} artifacts for {} distinct keys",
+        all_keys.len()
+    );
+    assert_eq!(store.stats().misses, misses, "deriving the keys recomputed");
+    // Each thermal field is stored: a lookup that would fail on a miss
+    // is served from memory.
+    let probe: Codec<thermal::report::ThermalReport> = Codec {
+        encode: |_| None,
+        decode: |_| None,
+    };
+    for key in thermal_keys {
+        let (_, provenance) = store
+            .get_or_compute(key, &probe, || Err("thermal field not stored"))
+            .unwrap();
+        assert_eq!(provenance, Provenance::MemHit);
+    }
+}
+
+/// A `thermal.solve`-armed scenario inside the shared-store sweep fails
+/// on its own row; its siblings keep exactly their fault-free bytes.
+#[test]
+fn thermal_fault_in_a_shared_sweep_fails_alone() {
+    let clean = twelve_variants();
+    let reference = batch::sweep_json(&clean, &batch::run(&clean).unwrap()).unwrap();
+    let mut scenarios = clean.clone();
+    scenarios.insert(
+        5,
+        Scenario::new(
+            "broken-thermal-glass3d",
+            InterposerKind::Glass3D,
+            MonitorLengths::Routed,
+            ScenarioOverrides::default(),
+            vec!["thermal.solve".to_string()],
+        )
+        .unwrap(),
+    );
+    let mut outcomes = batch::run(&scenarios).unwrap();
+    let faulty = outcomes.remove(5);
+    assert!(
+        matches!(faulty, Err(FlowError::NoConvergence { .. })),
+        "{faulty:?}"
+    );
+    assert!(
+        batch::sweep_json(&clean, &outcomes).unwrap() == reference,
+        "the faulty scenario disturbed a sibling"
+    );
 }

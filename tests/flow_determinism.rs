@@ -117,8 +117,8 @@ fn traced_parallel_flow_is_byte_identical_and_emits_a_valid_trace() {
     // …plus a non-zero "C" counter event for every kernel counter (the
     // traced run was cold, so each kernel demonstrably did work).
     for counter in [
-        "memo.hit",
-        "memo.compute",
+        "store.mem_hit",
+        "store.miss",
         "router.nets_routed",
         "router.heap_pops",
         "router.expansions",
@@ -137,6 +137,28 @@ fn traced_parallel_flow_is_byte_identical_and_emits_a_valid_trace() {
         });
         assert!(fired, "counter {counter} missing or zero");
     }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The paper's result, pinned: the six packaged studies of a fresh
+/// paper-default context serialize to the same bytes as every release
+/// since the hash was last re-pinned. Any change to a study byte —
+/// routing, thermal, SI, roll-up — must re-pin this value on purpose.
+#[test]
+fn paper_studies_hash_is_pinned() {
+    let studies =
+        run_all_in(&StudyContext::paper(), MonitorLengths::Routed).expect("paper flow completes");
+    let json = serde_json::to_string(&studies).expect("serializes");
+    assert_eq!(
+        format!("{:016x}", fnv1a(json.as_bytes())),
+        "c134daec37b29ea7"
+    );
 }
 
 /// `run_all_in` claims the technologies heaviest route first, which is

@@ -17,7 +17,7 @@
 
 use codesign::flow::{run_all, run_all_sequential, run_tech};
 use codesign::table5::MonitorLengths;
-use codesign::{artifacts, FlowError};
+use codesign::{default_context, FlowError};
 use techlib::faults;
 use techlib::spec::InterposerKind;
 
@@ -48,10 +48,11 @@ fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
     let baseline = serde_json::to_string(&run_all(MonitorLengths::Routed).unwrap()).unwrap();
 
     for &site in faults::SITES {
-        // Reset so sites that live *inside* memoized computations
-        // (partitioning, routing, chiplet placement, the SOR loop) are
-        // actually reached instead of short-circuited by a cache hit.
-        artifacts::reset_for_tests();
+        // Clear the default context's store so sites that live *inside*
+        // stored computations (partitioning, routing, chiplet placement,
+        // the SOR loop) are actually reached instead of short-circuited
+        // by a store hit.
+        default_context().store().clear();
         let guard = faults::site(site).arm();
 
         let par = run_all(MonitorLengths::Routed)
@@ -70,7 +71,7 @@ fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
     // A routing fault is scoped to technologies that route an interposer:
     // the Silicon 3D study (TSV stack, no lateral routing) still
     // completes while `router.escape` is armed.
-    artifacts::reset_for_tests();
+    default_context().store().clear();
     {
         let _guard = faults::site("router.escape").arm();
         let study = run_tech(InterposerKind::Silicon3D)
@@ -84,7 +85,7 @@ fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
 
     // No poisoning: every failure above was returned, not memoized, so a
     // clean rerun reproduces the baseline byte for byte.
-    artifacts::reset_for_tests();
+    default_context().store().clear();
     let rerun = serde_json::to_string(&run_all(MonitorLengths::Routed).unwrap()).unwrap();
     assert_eq!(baseline, rerun, "a failed run left stale cached state");
 }

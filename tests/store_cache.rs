@@ -125,6 +125,61 @@ fn stage_keys_move_exactly_with_their_declared_projections() {
     assert_ne!(FrontEnd::split_key(), FrontEnd::netlists_key());
 }
 
+/// The other half of projection soundness: the artifacts themselves
+/// ignore every field their key leaves out. Perturbing any field outside
+/// a stage's projection must leave its serialized artifact bit-identical
+/// — otherwise two specs sharing a key would share a wrong artifact.
+#[test]
+fn artifacts_ignore_the_fields_their_projections_leave_out() {
+    let front = FrontEnd::new();
+    let netlists = front.chiplet_netlists().unwrap();
+    let (logic_nl, mem_nl) = &*netlists;
+    let thermal_json = |spec: &InterposerSpec| {
+        serde_json::to_string(&thermal::report::analyze_with(spec).unwrap()).unwrap()
+    };
+    let reports_json = |spec: &InterposerSpec| {
+        let pair = chiplet::report::analyze_pair_with(logic_nl, mem_nl, spec).unwrap();
+        serde_json::to_string(&pair).unwrap()
+    };
+    for tech in [InterposerKind::Glass3D, InterposerKind::Silicon3D] {
+        let base = InterposerSpec::for_kind(tech);
+        let (thermal_base, reports_base) = (thermal_json(&base), reports_json(&base));
+        for field in SpecField::ALL {
+            let spec = perturbed(&base, field);
+            if !thermal::report::THERMAL_PROJECTION.contains(&field) {
+                assert!(
+                    thermal_json(&spec) == thermal_base,
+                    "{tech:?}: thermal report depends on {}",
+                    field.name()
+                );
+            }
+            if !chiplet::report::REPORTS_PROJECTION.contains(&field) {
+                assert!(
+                    reports_json(&spec) == reports_base,
+                    "{tech:?}: chiplet reports depend on {}",
+                    field.name()
+                );
+            }
+        }
+    }
+
+    // The layout records the spec it was routed against; apart from
+    // that record, a loss-tangent change leaves the Glass 3D layout
+    // untouched.
+    let base = InterposerSpec::for_kind(InterposerKind::Glass3D);
+    let layout_json = |spec: &InterposerSpec| {
+        let mut layout = interposer::report::place_and_route_with(spec).unwrap();
+        layout.spec = base.clone();
+        layout.pdn.spec = base.clone();
+        serde_json::to_string(&layout).unwrap()
+    };
+    assert!(!interposer::report::LAYOUT_PROJECTION.contains(&SpecField::LossTangent));
+    assert!(
+        layout_json(&perturbed(&base, SpecField::LossTangent)) == layout_json(&base),
+        "Glass 3D layout depends on loss_tangent"
+    );
+}
+
 /// The SI-links key hashes the channel descriptors and the full spec of
 /// each channel's technology, so a loss-tangent change moves the links
 /// key while leaving the layout key — and therefore the shared
@@ -186,7 +241,7 @@ fn si_only_sweep_shares_the_physical_prefix_across_scenarios() {
         })
         .collect();
     let store = Arc::new(ArtifactStore::in_memory());
-    let shared = Arc::new(FrontEnd::with_store(Some(Arc::clone(&store))));
+    let shared = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
     let contexts: Vec<StudyContext> = scenarios
         .iter()
         .map(|s| StudyContext::for_scenario_with(s, Arc::clone(&shared), Some(Arc::clone(&store))))
