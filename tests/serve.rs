@@ -2,7 +2,8 @@
 //! byte-identity with `codesign sweep --json`, queue-full backpressure
 //! (429 + Retry-After), per-request deadlines surfacing as typed
 //! `FlowError::Deadline` rows (status 504) with the context pool still
-//! reusable afterwards, and graceful drain on `POST /shutdown`.
+//! reusable afterwards, graceful drain on `POST /shutdown`, and a
+//! disk-backed store that keeps a restarted server warm.
 
 use codesign::serve::{ServeConfig, Server};
 use std::io::{Read as _, Write as _};
@@ -122,16 +123,29 @@ fn concurrent_sweeps_are_byte_identical_to_the_cli() {
     assert_eq!(body, "{\"status\":\"ok\"}\n");
 
     // Two rounds of two concurrent clients: the first round pays the
-    // cold studies, the second is served from the pooled warm contexts.
+    // cold studies, the second is served from the pooled warm contexts
+    // and must answer well inside a second (store lookups plus render).
     for round in 0..2 {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..2)
-                .map(|_| scope.spawn(|| request(addr, "POST", "/sweep", &[], CLEAN_SWEEP)))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let sent = Instant::now();
+                        let response = request(addr, "POST", "/sweep", &[], CLEAN_SWEEP);
+                        (response, sent.elapsed())
+                    })
+                })
                 .collect();
             for worker in workers {
-                let (status, _, body) = worker.join().expect("client thread");
+                let ((status, _, body), latency) = worker.join().expect("client thread");
                 assert_eq!(status, 200, "round {round}: {body}");
                 assert_eq!(body, reference, "round {round}: serve must match the CLI");
+                if round == 1 {
+                    assert!(
+                        latency < Duration::from_secs(1),
+                        "warm pooled request took {latency:?}"
+                    );
+                }
             }
         });
     }
@@ -290,4 +304,46 @@ fn shutdown_drains_in_flight_work() {
         .join()
         .expect("server thread")
         .expect("clean server exit");
+}
+
+/// With [`ServeConfig::cache_dir`] the warm pool survives a restart: a
+/// fresh server over the same directory answers its first request from
+/// the artifacts its predecessor persisted, byte-identical to the CLI.
+#[test]
+fn a_restarted_server_answers_from_the_disk_tier() {
+    let reference = cli_reference(CLEAN_SWEEP, "restart");
+    let cache_dir = std::env::temp_dir().join(format!(
+        "codesign-serve-test-{}-restart-cache",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cached = || ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        ..ServeConfig::default()
+    };
+
+    for life in ["first", "restarted"] {
+        let (addr, handle) = start_server(cached());
+        let (status, _, body) = request(addr, "POST", "/sweep", &[], CLEAN_SWEEP);
+        assert_eq!(status, 200, "{life} server: {body}");
+        assert_eq!(body, reference, "{life} server must match the CLI");
+        if life == "restarted" {
+            assert!(
+                stats_field(addr, "store_disk_hits") > 0,
+                "the restarted server never read the disk tier"
+            );
+            assert_eq!(
+                stats_field(addr, "store_misses"),
+                0,
+                "the restarted server recomputed a persisted artifact"
+            );
+        }
+        let (status, _, _) = request(addr, "POST", "/shutdown", &[], "");
+        assert_eq!(status, 200);
+        handle
+            .join()
+            .expect("server thread")
+            .expect("clean server exit");
+    }
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
