@@ -3,40 +3,51 @@
 //! A* with a consistent heuristic pops keys in non-decreasing order, so
 //! the frontier never spans more than one maximum-edge-cost worth of
 //! key space at a time. [`BucketQueue`] exploits that: keys are
-//! quantized into fixed-point *ticks* of [`TICK_UM`] µm and hashed into
-//! a ring of `RING` tick slots; a pop scans forward from a monotone
-//! cursor to the first occupied slot instead of sifting a global binary
-//! heap. Each slot holds a tiny [`BinaryHeap`] ordered by the exact
-//! `(f, node)` key, so ties *within* a tick (common: grid costs are
-//! dyadic) still pop in the precise total order.
+//! quantized into fixed-point *ticks* of [`TICK_UM`] µm, and a monotone
+//! cursor walks the ticks in order. Only the cursor tick is kept
+//! ordered, in one [`BinaryHeap`] under the exact `(f, node)` key. Every
+//! later tick's entries wait unordered in a singly linked list threaded
+//! through one append-only arena, found through a ring of `RING` slot
+//! heads. When the cursor reaches a non-empty slot, its list is
+//! heapified into the cursor heap, which is empty at that point. A push
+//! therefore writes one arena record and one slot head, and the ring is
+//! 64 KiB of heads instead of thousands of separately allocated heaps.
 //!
 //! # Exactness
 //!
 //! The pop order is **bit-for-bit identical** to a global
-//! `BinaryHeap<FrontierItem>` (the pre-overhaul router's queue), not
-//! merely equivalent-cost. Three invariants carry the argument:
+//! `BinaryHeap<FrontierItem>`, not merely equivalent-cost. The key
+//! `(f, node)` is the whole item and [`f64::total_cmp`] equality is bit
+//! equality, so equal keys are identical items: the popped sequence is a
+//! function of the queued multiset alone, whatever order a list or a
+//! heap happens to hold it in. Four invariants carry the argument:
 //!
 //! 1. *Quantization is monotone*: `f1 <= f2 ⇒ tick(f1) <= tick(f2)`, so
-//!    slot order refines key order and the first occupied slot from the
-//!    cursor holds the global minimum — which the slot-local heap then
-//!    selects exactly.
-//! 2. *Late cheap pushes clamp to the cursor*: floating-point rounding
-//!    can push a key an ulp below the last popped one. Such entries
-//!    join the slot the next pop scans first, where the slot heap
-//!    restores their priority — the global heap would pop them next,
-//!    and so does the ring.
-//! 3. *The overflow tier is a strict suffix*: entries beyond the ring
+//!    no entry of a later tick is smaller than an entry of an earlier
+//!    one.
+//! 2. *The heap holds the cursor tick; the lists hold strictly later
+//!    ticks*: a push at the cursor tick goes straight into the heap, and
+//!    so does a late cheap push below the cursor (floating-point
+//!    rounding can put a key an ulp below the last pop), which clamps to
+//!    the cursor and is then smaller than anything else queued. A list
+//!    moves into the heap only when the heap is empty and the cursor
+//!    reaches the list's tick, so the heap's top is always the global
+//!    minimum.
+//! 3. *A slot holds one tick at a time*: list ticks lie in
+//!    `(cursor, cursor + RING)`, so `t % RING` names one tick, and a slot
+//!    drained at tick `t` can take tick `t + RING` later in the same
+//!    search.
+//! 4. *The overflow tier is a strict suffix*: entries beyond the ring
 //!    horizon wait in `overflow`, and once anything overflows, every
 //!    later push at or past the smallest overflowed tick overflows too
 //!    (`overflow_min`). Ring ticks therefore stay strictly below every
 //!    overflow tick, so draining the ring before rebasing onto the
 //!    overflow minimum preserves the global order.
 //!
-//! The retained binary heap (`HeapFrontier`, compiled for tests and
-//! the `frontier-oracle` feature) is the differential oracle: the
-//! proptests below drive both queues with the same random bounded-cost
-//! push/pop schedules — tie storms included — and demand identical pop
-//! sequences.
+//! The retained binary heap (`HeapFrontier`, compiled for tests only) is
+//! the differential oracle: the proptests below drive both queues with
+//! the same random bounded-cost push/pop schedules — tie storms and
+//! slot reuse included — and demand identical pop sequences.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,18 +62,20 @@ const TICK_INV: f64 = 1.0 / TICK_UM;
 /// enough that congestion-priced edges rarely overflow; the overflow
 /// tier keeps correctness when they do.
 const RING: usize = 16_384;
+/// End of a future-tick list (and the head of an empty slot).
+const NIL: u32 = u32::MAX;
 
-/// One frontier entry: the A* key `f`, the `g` value it was pushed
-/// with (stale-pop detection), and the node index.
+/// One frontier entry: the A* key `f` and the node index. Staleness is
+/// the router's business (see `router::astar`), so no `g` rides along.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontierItem {
-    /// Priority key (`g` + heuristic).
+    /// Priority key (`dist` + heuristic).
     pub f: f64,
-    /// The `dist` value this entry was pushed with.
-    pub g: f64,
     /// Flattened grid node index.
-    pub node: usize,
+    pub node: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FrontierItem>() == 16);
 
 impl PartialEq for FrontierItem {
     fn eq(&self, other: &Self) -> bool {
@@ -75,10 +88,9 @@ impl Eq for FrontierItem {}
 impl Ord for FrontierItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-order on f (so a max-BinaryHeap pops the smallest f),
-        // larger node index first among exact f ties. `g` is not part
-        // of the key: two entries with equal (f, node) were pushed by
-        // relaxations of the same node under the same heuristic, hence
-        // carry equal g and are fully interchangeable.
+        // larger node index first among exact f ties. The key is the
+        // whole item, so two entries that compare equal are the same
+        // bits and fully interchangeable.
         //
         // `total_cmp` keeps this a total order even for the NaN/-0.0
         // corners `Ord` must survive (see the HeapItem note this
@@ -104,7 +116,7 @@ pub trait FrontierQueue {
     /// reuses it.
     fn new() -> Self;
 
-    /// Resets for a fresh search in O(1) amortised (generation stamp).
+    /// Empties the queue for a fresh search, keeping its allocations.
     fn begin(&mut self);
 
     /// Inserts an entry. Keys must be finite and non-negative.
@@ -122,8 +134,8 @@ pub trait FrontierQueue {
         self.len() == 0
     }
 
-    /// Visits every queued entry in unspecified order (the certificate
-    /// fold over the unpopped frontier).
+    /// Visits every queued entry exactly once, in unspecified order (the
+    /// certificate fold over the unpopped frontier).
     fn for_each(&self, f: impl FnMut(&FrontierItem));
 }
 
@@ -136,25 +148,30 @@ fn tick(f: f64) -> u64 {
     (f * TICK_INV) as u64
 }
 
-/// The monotone bucket queue: a generation-stamped ring of per-tick
-/// mini-heaps plus an overflow tier for beyond-horizon entries. See the
-/// module docs for the exactness argument.
+#[inline]
+fn slot_of(t: u64) -> usize {
+    (t % RING as u64) as usize
+}
+
+/// The monotone bucket queue: an exact heap for the cursor tick,
+/// arena-threaded lists for the later ticks of the ring horizon, and an
+/// overflow tier beyond it. See the module docs for the exactness
+/// argument.
 pub struct BucketQueue {
-    /// `ring[t % RING]` holds the entries of absolute tick `t` for the
-    /// ticks inside the current horizon.
-    ring: Vec<BinaryHeap<FrontierItem>>,
-    /// Slot validity stamps: a slot is live only when its stamp equals
-    /// `generation`, which makes [`BucketQueue::begin`] O(1).
-    slot_gen: Vec<u32>,
-    /// Slots stamped this generation (bounds the certificate fold to
-    /// touched slots instead of the whole ring).
-    active: Vec<u32>,
-    generation: u32,
-    /// Absolute tick the pop scan resumes from; monotone within one
-    /// search.
+    /// The cursor tick's entries (and below-cursor pushes clamped to
+    /// it), in exact key order.
+    heap: BinaryHeap<FrontierItem>,
+    /// Append-only list records: an entry and the arena index of the
+    /// next record of its list (`NIL` ends it). Cleared by `begin`.
+    arena: Vec<(FrontierItem, u32)>,
+    /// `heads[t % RING]` is the newest arena record of tick `t`'s list,
+    /// or `NIL`, for every tick `t` in `(cursor, cursor + RING)`. Every
+    /// other slot is `NIL`.
+    heads: Vec<u32>,
+    /// Slots whose head is not `NIL`.
+    listed_slots: usize,
+    /// Absolute tick of the heap's entries; monotone within one search.
     cursor: u64,
-    /// Entries currently in the ring.
-    ring_len: usize,
     /// Entries whose tick was beyond the ring horizon at push time.
     overflow: Vec<FrontierItem>,
     /// Smallest tick in `overflow` (`u64::MAX` when empty). Ring
@@ -165,12 +182,57 @@ pub struct BucketQueue {
 }
 
 impl BucketQueue {
+    /// The listed slots in tick order from the cursor.
+    fn listed(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..RING as u64)
+            .map(|d| slot_of(self.cursor + d))
+            .filter(|&slot| self.heads[slot] != NIL)
+            .take(self.listed_slots)
+    }
+
+    /// Queues `item` at tick `t`, which lies in `[cursor, cursor + RING)`.
+    #[inline]
+    fn ring_push(&mut self, t: u64, item: FrontierItem) {
+        if t == self.cursor {
+            self.heap.push(item);
+            return;
+        }
+        let slot = slot_of(t);
+        let head = self.heads[slot];
+        self.listed_slots += usize::from(head == NIL);
+        assert!(self.arena.len() < NIL as usize, "list arena index overflow");
+        self.heads[slot] = self.arena.len() as u32;
+        self.arena.push((item, head));
+    }
+
+    /// Moves the cursor to the next listed tick and heapifies that
+    /// tick's list into the cursor heap. Called only when the heap is
+    /// empty and some slot is listed.
+    fn advance(&mut self) {
+        debug_assert!(self.heap.is_empty() && self.listed_slots > 0);
+        let mut next = loop {
+            self.cursor += 1;
+            let head = &mut self.heads[slot_of(self.cursor)];
+            if *head != NIL {
+                break std::mem::replace(head, NIL);
+            }
+        };
+        self.listed_slots -= 1;
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        while next != NIL {
+            let (item, after) = self.arena[next as usize];
+            entries.push(item);
+            next = after;
+        }
+        self.heap = BinaryHeap::from(entries);
+    }
+
     /// Moves every overflow entry inside the new horizon into the ring
     /// after advancing the cursor to the smallest overflowed tick.
     /// Called only when the ring is empty, so no ring entry can be
     /// overtaken.
     fn rebase(&mut self) {
-        debug_assert_eq!(self.ring_len, 0);
+        debug_assert!(self.heap.is_empty() && self.listed_slots == 0);
         debug_assert!(!self.overflow.is_empty());
         self.cursor = self.overflow_min.max(self.cursor);
         let mut i = 0;
@@ -178,8 +240,7 @@ impl BucketQueue {
             let t = tick(self.overflow[i].f).max(self.cursor);
             if t - self.cursor < RING as u64 {
                 let item = self.overflow.swap_remove(i);
-                self.slot_push(t, item);
-                self.ring_len += 1;
+                self.ring_push(t, item);
             } else {
                 i += 1;
             }
@@ -193,28 +254,16 @@ impl BucketQueue {
             .min()
             .unwrap_or(u64::MAX);
     }
-
-    #[inline]
-    fn slot_push(&mut self, t: u64, item: FrontierItem) {
-        let slot = (t % RING as u64) as usize;
-        if self.slot_gen[slot] != self.generation {
-            self.ring[slot].clear();
-            self.slot_gen[slot] = self.generation;
-            self.active.push(slot as u32);
-        }
-        self.ring[slot].push(item);
-    }
 }
 
 impl FrontierQueue for BucketQueue {
     fn new() -> Self {
         BucketQueue {
-            ring: (0..RING).map(|_| BinaryHeap::new()).collect(),
-            slot_gen: vec![0; RING],
-            active: Vec::new(),
-            generation: 1,
+            heap: BinaryHeap::new(),
+            arena: Vec::new(),
+            heads: vec![NIL; RING],
+            listed_slots: 0,
             cursor: 0,
-            ring_len: 0,
             overflow: Vec::new(),
             overflow_min: u64::MAX,
             len: 0,
@@ -222,15 +271,20 @@ impl FrontierQueue for BucketQueue {
     }
 
     fn begin(&mut self) {
-        if self.generation == u32::MAX {
-            self.slot_gen.fill(0);
-            self.generation = 1;
-        } else {
-            self.generation += 1;
+        // Only the ticks ahead of the cursor can still be listed, so
+        // clearing them costs the frontier's leftover span, not the ring.
+        let mut t = self.cursor;
+        while self.listed_slots > 0 {
+            t += 1;
+            let head = &mut self.heads[slot_of(t)];
+            if *head != NIL {
+                *head = NIL;
+                self.listed_slots -= 1;
+            }
         }
-        self.active.clear();
+        self.heap.clear();
+        self.arena.clear();
         self.cursor = 0;
-        self.ring_len = 0;
         self.overflow.clear();
         self.overflow_min = u64::MAX;
         self.len = 0;
@@ -244,37 +298,32 @@ impl FrontierQueue for BucketQueue {
             item.f
         );
         // A key an ulp below the cursor (floating-point slack on a
-        // zero-slack edge) clamps to the cursor slot, which is scanned
-        // next — the slot heap restores its priority exactly.
+        // zero-slack edge) clamps to the cursor tick, whose heap
+        // restores its priority exactly.
         let t = tick(item.f).max(self.cursor);
         if t - self.cursor >= RING as u64 || t >= self.overflow_min {
             self.overflow_min = self.overflow_min.min(t);
             self.overflow.push(item);
         } else {
-            self.slot_push(t, item);
-            self.ring_len += 1;
+            self.ring_push(t, item);
         }
         self.len += 1;
     }
 
     #[inline]
     fn pop(&mut self) -> Option<FrontierItem> {
-        if self.len == 0 {
-            return None;
-        }
         loop {
-            if self.ring_len == 0 {
+            if let Some(item) = self.heap.pop() {
+                self.len -= 1;
+                return Some(item);
+            }
+            if self.listed_slots > 0 {
+                self.advance();
+            } else if !self.overflow.is_empty() {
                 self.rebase();
+            } else {
+                return None;
             }
-            let slot = (self.cursor % RING as u64) as usize;
-            if self.slot_gen[slot] == self.generation {
-                if let Some(item) = self.ring[slot].pop() {
-                    self.len -= 1;
-                    self.ring_len -= 1;
-                    return Some(item);
-                }
-            }
-            self.cursor += 1;
         }
     }
 
@@ -283,24 +332,26 @@ impl FrontierQueue for BucketQueue {
     }
 
     fn for_each(&self, mut f: impl FnMut(&FrontierItem)) {
-        for &slot in &self.active {
-            for item in self.ring[slot as usize].iter() {
+        self.heap.iter().for_each(&mut f);
+        for slot in self.listed() {
+            let mut next = self.heads[slot];
+            while next != NIL {
+                let (item, after) = &self.arena[next as usize];
                 f(item);
+                next = *after;
             }
         }
-        for item in &self.overflow {
-            f(item);
-        }
+        self.overflow.iter().for_each(f);
     }
 }
 
-/// The retained global binary heap, kept as the differential oracle
-/// behind a test/feature gate. Pop order is the reference the bucket
-/// queue must reproduce bit-for-bit.
-#[cfg(any(test, feature = "frontier-oracle"))]
+/// The retained global binary heap, kept as the differential oracle for
+/// tests. Pop order is the reference the bucket queue must reproduce
+/// bit-for-bit.
+#[cfg(test)]
 pub struct HeapFrontier(BinaryHeap<FrontierItem>);
 
-#[cfg(any(test, feature = "frontier-oracle"))]
+#[cfg(test)]
 impl FrontierQueue for HeapFrontier {
     fn new() -> Self {
         HeapFrontier(BinaryHeap::new())
@@ -332,37 +383,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn item(f: f64, node: usize) -> FrontierItem {
-        // g derived from the key so equal (f, node) entries are fully
-        // interchangeable, matching the router's invariant (g = f - h
-        // for a fixed per-node h).
-        FrontierItem {
-            f,
-            g: f * 0.5,
-            node,
-        }
+    fn item(f: f64, node: u32) -> FrontierItem {
+        FrontierItem { f, node }
     }
 
-    fn assert_same_pop(b: &mut BucketQueue, h: &mut HeapFrontier) {
+    fn assert_same_pop(b: &mut BucketQueue, h: &mut HeapFrontier) -> Option<FrontierItem> {
         let (x, y) = (b.pop(), h.pop());
         match (x, y) {
             (None, None) => {}
             (Some(a), Some(b)) => {
                 assert!(
-                    a.f.to_bits() == b.f.to_bits()
-                        && a.g.to_bits() == b.g.to_bits()
-                        && a.node == b.node,
-                    "bucket popped ({}, {}, {}), heap popped ({}, {}, {})",
+                    a.f.to_bits() == b.f.to_bits() && a.node == b.node,
+                    "bucket popped ({}, {}), heap popped ({}, {})",
                     a.f,
-                    a.g,
                     a.node,
                     b.f,
-                    b.g,
                     b.node
                 );
             }
             (a, b) => panic!("bucket popped {a:?}, heap popped {b:?}"),
         }
+        x
+    }
+
+    /// Every queued entry as sorted `(f bits, node)` pairs, as
+    /// `for_each` visits them.
+    fn visited(q: &impl FrontierQueue) -> Vec<(u64, u32)> {
+        let mut seen = Vec::new();
+        q.for_each(|it| seen.push((it.f.to_bits(), it.node)));
+        seen.sort_unstable();
+        seen
     }
 
     #[test]
@@ -370,12 +420,12 @@ mod tests {
         let mut q = BucketQueue::new();
         q.begin();
         // A tie storm: many entries share f; larger node pops first.
-        for node in [3usize, 9, 1, 7] {
+        for node in [3, 9, 1, 7] {
             q.push(item(20.0, node));
         }
         q.push(item(19.5, 0));
         q.push(item(20.5, 100));
-        let order: Vec<(f64, usize)> =
+        let order: Vec<(f64, u32)> =
             std::iter::from_fn(|| q.pop().map(|i| (i.f, i.node))).collect();
         assert_eq!(
             order,
@@ -394,8 +444,8 @@ mod tests {
 
     #[test]
     fn zero_length_degenerate_single_push() {
-        // The coincident-endpoints net from PR 6: one push at f = 0,
-        // popped immediately, then empty.
+        // The coincident-endpoints net: one push at f = 0, popped
+        // immediately, then empty.
         let mut q = BucketQueue::new();
         q.begin();
         q.push(item(0.0, 42));
@@ -414,9 +464,10 @@ mod tests {
             q.push(it);
             h.push(it);
         }
-        assert_same_pop(&mut q, &mut h); // 100 → cursor is now at tick 200
-                                         // An ulp-ish late push below the cursor must still win the next
-                                         // pop, exactly like the global heap.
+        // Pops 100, so the cursor is at tick 200. A late push an ulp-ish
+        // below it must still win the next pop, exactly like the global
+        // heap.
+        assert_same_pop(&mut q, &mut h);
         for it in [item(99.999, 3), item(101.0, 4)] {
             q.push(it);
             h.push(it);
@@ -438,7 +489,7 @@ mod tests {
         let keys = [
             0.0, 9_000.0, 3.5, 8_192.0, 8_191.5, 20_000.0, 16_500.0, 40.0,
         ];
-        for (n, &f) in keys.iter().enumerate() {
+        for (n, &f) in (0..).zip(&keys) {
             q.push(item(f, n));
             h.push(item(f, n));
         }
@@ -446,9 +497,9 @@ mod tests {
         for _ in 0..3 {
             assert_same_pop(&mut q, &mut h);
         }
-        for (n, &f) in [55.0, 30_000.0, 8_192.5].iter().enumerate() {
-            q.push(item(f, 100 + n));
-            h.push(item(f, 100 + n));
+        for (n, &f) in (100..).zip(&[55.0, 30_000.0, 8_192.5]) {
+            q.push(item(f, n));
+            h.push(item(f, n));
         }
         while q.len() > 0 || h.len() > 0 {
             assert_same_pop(&mut q, &mut h);
@@ -461,6 +512,8 @@ mod tests {
         q.begin();
         q.push(item(7.0, 1));
         q.push(item(9_999.0, 2)); // parked in overflow
+        q.push(item(30.0, 6)); // listed, left behind by the search
+        assert_eq!(q.pop().unwrap().node, 1);
         q.begin();
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
@@ -469,9 +522,7 @@ mod tests {
         // for_each sees exactly the live entries.
         q.push(item(2.0, 4));
         q.push(item(50_000.0, 5));
-        let mut seen: Vec<usize> = Vec::new();
-        q.for_each(|it| seen.push(it.node));
-        seen.sort_unstable();
+        let seen: Vec<u32> = visited(&q).into_iter().map(|(_, n)| n).collect();
         assert_eq!(seen, vec![4, 5]);
     }
 
@@ -488,32 +539,48 @@ mod tests {
 
         /// Differential oracle: a random bounded-cost push/pop schedule
         /// — coarse dyadic keys for tie storms, occasional huge keys
-        /// for the overflow tier, interleaved pops — must produce the
-        /// bit-identical pop sequence from both queues, including the
-        /// final drain.
+        /// for the overflow tier, keys one ring lap past the last pop
+        /// so a drained slot takes tick `t + RING`, interleaved pops —
+        /// must produce the bit-identical pop sequence from both queues,
+        /// including the final drain, and `for_each` must visit exactly
+        /// the queued multiset.
         #[test]
         fn matches_binary_heap_on_random_schedules(seed in 0u64..(1u64 << 48)) {
             let mut q = BucketQueue::new();
             let mut h = HeapFrontier::new();
             q.begin();
             h.begin();
+            let mut last = 0.0f64;
             for step in 0..400u64 {
                 let r = splitmix64(seed ^ step);
                 if r % 4 == 3 {
-                    assert_same_pop(&mut q, &mut h);
+                    if let Some(it) = assert_same_pop(&mut q, &mut h) {
+                        last = it.f;
+                    }
                 } else {
                     // Keys quantized to 0.25 µm so many collide exactly
                     // (the dyadic tie storm of real grid costs); ~6 % jump
-                    // past the ring horizon.
+                    // past the ring horizon, and ~6 % land one lap ahead
+                    // of a tick just behind the last pop, in a slot the
+                    // cursor may have drained.
                     let mut f = ((r >> 8) % 512) as f64 * 0.25;
-                    if (r >> 24).is_multiple_of(16) {
-                        f += 9_000.0 + ((r >> 28) % 4) as f64 * 8_192.0;
+                    match (r >> 24) % 16 {
+                        0 => f += 9_000.0 + ((r >> 28) % 4) as f64 * 8_192.0,
+                        1 => {
+                            let back = 1 + (r >> 28) % 8;
+                            let lap = (tick(last) + RING as u64 - back) as f64 * TICK_UM;
+                            f = lap + ((r >> 31) % 2) as f64 * 0.25;
+                        }
+                        _ => {}
                     }
-                    let node = ((r >> 40) % 64) as usize;
+                    let node = ((r >> 40) % 64) as u32;
                     q.push(item(f, node));
                     h.push(item(f, node));
                 }
                 prop_assert_eq!(q.len(), h.len());
+                if step % 50 == 49 {
+                    prop_assert_eq!(visited(&q), visited(&h));
+                }
             }
             while q.len() > 0 || h.len() > 0 {
                 assert_same_pop(&mut q, &mut h);

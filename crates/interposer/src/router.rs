@@ -15,11 +15,12 @@
 //! §16):
 //!
 //! * **Monotone bucket frontier** ([`crate::bucket::BucketQueue`]) —
-//!   the open set is a Dial-style ring of cost-tick slots scanned by a
-//!   monotone cursor instead of a global binary heap, with per-slot
-//!   mini-heaps reproducing the exact `(total_cmp f, node)` pop order
-//!   of the historical `BinaryHeap`. The old heap survives behind the
-//!   `frontier-oracle` test gate as a differential oracle.
+//!   the open set is a Dial-style ring of cost ticks walked by a
+//!   monotone cursor instead of a global binary heap. Only the cursor
+//!   tick sits in a heap, ordered by the exact `(total_cmp f, node)` key
+//!   of the historical `BinaryHeap`; later ticks wait in unordered lists
+//!   in one arena. The old heap survives in tests as a differential
+//!   oracle.
 //! * **Fused cost field** ([`crate::congestion::CostField`]) — the
 //!   history + present-overflow penalty is folded into one per-node
 //!   array maintained incrementally as paths commit (same expression,
@@ -37,10 +38,12 @@
 //!   state is allocated once per [`route_all`] call and *epoch-stamped*:
 //!   a search begins by bumping a generation counter, so resetting costs
 //!   O(1) instead of re-initialising `node_count` floats per net; the
-//!   bucket frontier resets the same way. Frontier entries carry their
-//!   `g` value and stale pops (entries superseded by a later relaxation)
-//!   are skipped; `dist` is monotone non-increasing, so the skipped
-//!   expansion would have relaxed nothing — results are bit-identical.
+//!   bucket frontier resets the same way. Frontier entries are a bare
+//!   16-byte `(f, node)`; stale pops (entries superseded by a later
+//!   relaxation, or of a node already expanded) are recognised by a
+//!   closed bit and by recomputing the key, and skipped — the skipped
+//!   expansion would have relaxed nothing, so results are bit-identical
+//!   (see `astar`).
 //! * **Windowed search** — each net searches a bounding box around its
 //!   endpoints inflated by [`INITIAL_WINDOW_MARGIN`] gcells and takes
 //!   the path it finds. Blockage and congestion are soft penalties, so a
@@ -180,10 +183,15 @@ struct SearchCounters {
     heuristic_prunes: u64,
 }
 
+/// Bit of [`NodeState::stamp`] set when the node is expanded and
+/// cleared by its next relaxation. The low 31 bits hold the generation,
+/// which therefore wraps at `CLOSED - 1`.
+const CLOSED: u32 = 1 << 31;
+
 /// Per-node search state, packed so one relaxation touches a single
 /// 16-byte record instead of three parallel arrays (three cache lines).
-/// `dist`/`prev` are valid only where `stamp` equals the scratch's
-/// current generation.
+/// `dist`/`prev` are valid only where `stamp`'s generation bits equal
+/// the scratch's current generation.
 #[derive(Clone, Copy)]
 struct NodeState {
     dist: f64,
@@ -191,15 +199,32 @@ struct NodeState {
     stamp: u32,
 }
 
+impl NodeState {
+    /// True when this state was written in generation `gen`.
+    #[inline]
+    fn live(&self, gen: u32) -> bool {
+        self.stamp & !CLOSED == gen
+    }
+
+    /// The node's distance in generation `gen` (infinite when unreached).
+    #[inline]
+    fn dist_in(&self, gen: u32) -> f64 {
+        if self.live(gen) {
+            self.dist
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
 /// Reusable, epoch-stamped A* state: one allocation for the lifetime of
 /// a [`route_all`] call instead of two `node_count`-sized vectors per
 /// net.
 ///
-/// `nodes[i]` is valid only where `nodes[i].stamp == generation`;
+/// `nodes[i]` is valid only where `nodes[i].live(generation)`;
 /// [`SearchScratch::begin_search`] bumps the generation, invalidating
-/// the whole state in O(1) — and the frontier queue (the bucket ring by
-/// default; the retained binary heap under the `frontier-oracle` gate)
-/// resets the same way.
+/// the whole state in O(1), and empties the frontier queue (the bucket
+/// ring; the retained binary heap in the oracle tests).
 struct SearchScratch<Q: FrontierQueue = BucketQueue> {
     nodes: Vec<NodeState>,
     generation: u32,
@@ -225,10 +250,10 @@ impl<Q: FrontierQueue> SearchScratch<Q> {
     }
 
     /// Invalidates all per-search state in O(1) (amortised: the stamp
-    /// fields are re-zeroed only when the 32-bit generation wraps).
+    /// fields are re-zeroed only when the 31-bit generation wraps).
     fn begin_search(&mut self) {
         self.frontier.begin();
-        if self.generation == u32::MAX {
+        if self.generation == CLOSED - 1 {
             for state in &mut self.nodes {
                 state.stamp = 0;
             }
@@ -304,6 +329,20 @@ impl FastDiv {
 /// still in the frontier (folded here), so the combined bound is a true
 /// full-grid certificate — `window_fallbacks` semantics survive the
 /// sharper heuristic.
+///
+/// Stale entries: relaxations strictly lower `dist`, so a node's queued
+/// entries were pushed with distinct distances, and only the newest
+/// carries today's. A popped entry is skipped when its node is closed
+/// (expanded, and not relaxed since) or when its `f` is not bit-equal to
+/// `dist + h(x, y) · hscale` recomputed now — the very expression the
+/// push evaluated, so the newest entry always matches and an older one
+/// matches only if rounding made its key collide with the newest bit for
+/// bit. Colliding entries are the same `(f, node)` item, so whichever
+/// pops first is expanded and closes the node, and the other is skipped:
+/// one expansion per fresh key, exactly as the historical `g > dist`
+/// test gave. The start node is pushed at `f = 0` to keep the historical
+/// key, and is the one entry exempt from the key check: its `dist` of 0
+/// can never improve, so it has no other entry.
 #[allow(clippy::too_many_arguments)]
 fn astar<Q: FrontierQueue>(
     scratch: &mut SearchScratch<Q>,
@@ -348,8 +387,7 @@ fn astar<Q: FrontierQueue>(
     };
     frontier.push(FrontierItem {
         f: 0.0,
-        g: 0.0,
-        node: start,
+        node: start as u32,
     });
 
     // Reciprocal divisors for the per-pop index decomposition. `cols >= 2`
@@ -369,19 +407,19 @@ fn astar<Q: FrontierQueue>(
     let mut pops = 0u64;
     let mut expansions = 0u64;
     let mut found = None;
-    while let Some(FrontierItem { f: _, g, node }) = frontier.pop() {
+    while let Some(FrontierItem { f, node }) = frontier.pop() {
         pops += 1;
+        let node = node as usize;
         if node == goal {
             found = Some(nodes[node].dist);
             break;
         }
-        // Stale entry: a later relaxation already improved this node, so
-        // its (earlier-popped) fresh entry performed every relaxation
-        // this one could; skipping is result-identical.
-        if g > nodes[node].dist {
+        // Stale entry (see the doc comment): the node's fresh entry
+        // performs, or performed, every relaxation this one could.
+        let NodeState { dist: d, stamp, .. } = nodes[node];
+        if stamp & CLOSED != 0 {
             continue;
         }
-        expansions += 1;
         let (x, y, layer) = match &fast {
             Some((fper, fcols)) => {
                 let layer = fper.div(node as u64) as usize;
@@ -391,7 +429,14 @@ fn astar<Q: FrontierQueue>(
             }
             None => grid.decompose(node),
         };
-        let d = nodes[node].dist;
+        // The heuristic at the popped gcell, which is also every via
+        // target's gcell.
+        let h_here = h(x, y);
+        if node != start && f.to_bits() != (d + h_here * hscale).to_bits() {
+            continue;
+        }
+        nodes[node].stamp = gen | CLOSED;
+        expansions += 1;
         // `layer as f64 * LAYER_BIAS_UM`, hoisted: every probe of this
         // expansion but the two via moves adds exactly this term.
         let layer_bias = layer as f64 * LAYER_BIAS_UM;
@@ -424,12 +469,7 @@ fn astar<Q: FrontierQueue>(
             // congestion closure computed (see `CostField`).
             let nd = d + step + penalty[ni] + layer_bias;
             let state = &mut nodes[ni];
-            let cur = if state.stamp == gen {
-                state.dist
-            } else {
-                f64::INFINITY
-            };
-            if nd < cur {
+            if nd < state.dist_in(gen) {
                 *state = NodeState {
                     dist: nd,
                     prev: node as u32,
@@ -437,8 +477,7 @@ fn astar<Q: FrontierQueue>(
                 };
                 frontier.push(FrontierItem {
                     f: nd + h(nx, ny) * hscale,
-                    g: nd,
-                    node: ni,
+                    node: ni as u32,
                 });
             }
         };
@@ -462,10 +501,8 @@ fn astar<Q: FrontierQueue>(
 
         // Via probe: (x, y) is unchanged and already in-window (it was
         // relaxed there), so the historical window check was vacuously
-        // false for layer moves — only the layer bound remains. The
-        // heuristic at the unchanged gcell is hoisted once for both
-        // directions.
-        let h_here = h(x, y);
+        // false for layer moves — only the layer bound remains. Both
+        // directions reuse `h_here`, the heuristic at the unchanged gcell.
         let per = (grid.cols * grid.rows) as i64;
         let mut via = |nl: i64, delta: i64, frontier: &mut Q| {
             if nl < 0 || nl >= grid.layers as i64 {
@@ -474,12 +511,7 @@ fn astar<Q: FrontierQueue>(
             let ni = (node as i64 + delta) as usize;
             let nd = d + VIA_COST_UM + penalty[ni] + nl as f64 * LAYER_BIAS_UM;
             let state = &mut nodes[ni];
-            let cur = if state.stamp == gen {
-                state.dist
-            } else {
-                f64::INFINITY
-            };
-            if nd < cur {
+            if nd < state.dist_in(gen) {
                 *state = NodeState {
                     dist: nd,
                     prev: node as u32,
@@ -487,8 +519,7 @@ fn astar<Q: FrontierQueue>(
                 };
                 frontier.push(FrontierItem {
                     f: nd + h_here * hscale,
-                    g: nd,
-                    node: ni,
+                    node: ni as u32,
                 });
             }
         };
@@ -505,9 +536,9 @@ fn astar<Q: FrontierQueue>(
         let mut remaining = 0u64;
         frontier.for_each(|item| {
             remaining += 1;
-            let state = &nodes[item.node];
-            if state.stamp == gen {
-                let (ix, iy, _) = grid.decompose(item.node);
+            let state = &nodes[item.node as usize];
+            if state.live(gen) {
+                let (ix, iy, _) = grid.decompose(item.node as usize);
                 let lb = state.dist + h(ix, iy);
                 if lb < *pruned_min {
                     *pruned_min = lb;
@@ -696,7 +727,7 @@ fn crosses_overflow(grid: &RoutingGrid, net: &RoutedNet, overflowed: &[bool]) ->
 
 /// Rip-up policy of the negotiation loop; [`route_all`] always uses
 /// [`Reroute::Incremental`], the full variant is kept for the
-/// convergence-equivalence tests and benchmarks.
+/// convergence-equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reroute {
     /// Rip up only nets crossing over-capacity gcells.
@@ -1341,13 +1372,64 @@ mod tests {
 
     #[test]
     fn scratch_generations_isolate_searches() {
+        // Start two generations below the wrap so the test crosses it.
         let mut s: SearchScratch = SearchScratch::new(128);
+        s.generation = CLOSED - 2;
         s.begin_search();
         let gen = s.generation;
-        s.nodes[5].dist = 1.5;
-        s.nodes[5].stamp = gen;
+        assert_eq!(gen, CLOSED - 1, "last generation before the wrap");
+        s.nodes[5] = NodeState {
+            dist: 1.5,
+            prev: 4,
+            stamp: gen,
+        };
+        s.nodes[6] = NodeState {
+            dist: 2.5,
+            prev: 5,
+            stamp: gen | CLOSED,
+        };
+        assert!(s.nodes[5].live(gen) && s.nodes[6].live(gen));
         s.begin_search();
-        assert_ne!(s.nodes[5].stamp, s.generation, "stale stamp invalidated");
+        assert_eq!(s.generation, 1, "generation wrapped");
+        for i in [5, 6] {
+            assert!(!s.nodes[i].live(s.generation), "node {i} invalidated");
+            assert_eq!(s.nodes[i].dist_in(s.generation), f64::INFINITY);
+            assert_eq!(s.nodes[i].stamp & CLOSED, 0, "node {i} reopened");
+        }
+
+        // A real search on each side of the wrap settles the same cost
+        // as on a fresh scratch.
+        let p = micro_placement();
+        let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
+        let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
+        let n = grid.node_count();
+        let field = CostField::build(&grid, &base_blockage(&p, &grid), &vec![0.0; n]);
+        let win = grid.window((3, 3), (12, 9), usize::MAX);
+        let (s_node, t_node) = (grid.index(3, 3, 0), grid.index(12, 9, 0));
+        let search = |scratch: &mut SearchScratch| {
+            let mut pruned_min = 0.0;
+            let cost = astar(
+                scratch,
+                &grid,
+                &field,
+                s_node,
+                t_node,
+                (12, 9),
+                &win,
+                1.0,
+                &mut pruned_min,
+            );
+            (cost, scratch.counters.pops, scratch.counters.expansions)
+        };
+        let want = search(&mut SearchScratch::new(n));
+        let mut wrapping: SearchScratch = SearchScratch::new(n);
+        wrapping.generation = CLOSED - 2;
+        let before = search(&mut wrapping);
+        assert_eq!(wrapping.generation, CLOSED - 1);
+        let after = search(&mut wrapping);
+        assert_eq!(wrapping.generation, 1);
+        assert_eq!(before, want);
+        assert_eq!(after, (want.0, 2 * want.1, 2 * want.2));
     }
 
     #[test]
