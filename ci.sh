@@ -166,6 +166,36 @@ curl -sS -X POST "http://$SERVE_ADDR/shutdown" > /dev/null
 wait "$SERVE_PID"
 echo "    serve smoke: response byte-identical to sweep --json, clean drain"
 
+# SIGTERM drain smoke: a daemon serving a sweep must drain and exit 0
+# on SIGTERM, within 5 s. The accept loop waits in poll(2), which a
+# signal interrupts, so the exit should follow the signal at once.
+echo "==> codesign serve SIGTERM smoke (byte-identity, drain on SIGTERM)"
+rm -f /tmp/codesign_term_log.txt /tmp/codesign_term_body.json
+cargo run --release -q -p codesign --bin codesign -- serve 127.0.0.1:0 \
+    > /tmp/codesign_term_log.txt &
+TERM_PID=$!
+for _ in $(seq 1 100); do
+    grep -q "listening on" /tmp/codesign_term_log.txt 2>/dev/null && break
+    sleep 0.1
+done
+TERM_ADDR=$(sed -n 's/^codesign serve listening on //p' /tmp/codesign_term_log.txt)
+test -n "$TERM_ADDR"
+curl -sS -X POST --data-binary @examples/smoke_scenarios.json \
+    "http://$TERM_ADDR/sweep" > /tmp/codesign_term_body.json
+cmp /tmp/codesign_term_body.json /tmp/codesign_smoke_sweep.json
+kill -TERM "$TERM_PID"
+for _ in $(seq 1 50); do
+    kill -0 "$TERM_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$TERM_PID" 2>/dev/null; then
+    echo "codesign serve still running 5 s after SIGTERM" >&2
+    kill -KILL "$TERM_PID"
+    exit 1
+fi
+wait "$TERM_PID"
+echo "    SIGTERM smoke: response byte-identical to sweep --json, exit 0 after SIGTERM"
+
 # Hardening smoke: a daemon with tight read budgets survives a
 # slowloris client, an oversized body declaration, and raw binary
 # garbage fired concurrently with a clean sweep. The clean response

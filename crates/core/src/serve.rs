@@ -10,7 +10,8 @@
 //! # Request pipeline
 //!
 //! ```text
-//! accept → connection pool (bounded, 503 + Retry-After at capacity)
+//! poll(2) readiness wait on the listener (5 ms bound, EINTR on SIGTERM)
+//!        → accept → connection pool (bounded, 503 + Retry-After at capacity)
 //!        → read (whole-phase header/body budgets, size limits)
 //!        → admission (bounded queue, 429 + Retry-After when full)
 //!        → job queue (FIFO)
@@ -459,6 +460,43 @@ fn install_sigterm_handler() {
 #[cfg(not(unix))]
 fn install_sigterm_handler() {}
 
+/// Blocks until `listener` has a pending connection, a signal arrives,
+/// or `timeout` passes, whichever comes first. The caller re-checks its
+/// flags and calls `accept` in every case, so the outcome is ignored.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd as _;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        // Declared here for the same reason as `signal` above.
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one valid, exclusively borrowed `pollfd` for the
+    // whole call and `nfds` is 1; the listener outlives the call, so the
+    // descriptor stays open. poll(2) is never restarted after a signal
+    // handler, so SIGTERM ends the wait early with EINTR.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 // ---------------------------------------------------------------------
 // The server.
 // ---------------------------------------------------------------------
@@ -483,9 +521,9 @@ impl Server {
     pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept so the loop can poll the shutdown flags:
-        // glibc installs signal handlers with SA_RESTART, so a blocking
-        // accept would never observe SIGTERM.
+        // Non-blocking accept so the loop can check the shutdown flags
+        // between readiness waits: glibc installs signal handlers with
+        // SA_RESTART, so a blocking accept would never observe SIGTERM.
         listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
@@ -545,7 +583,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => accept_stream(&self.shared, stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_for_connection(&self.listener, Duration::from_millis(5));
                 }
                 Err(e) => {
                     self.shared.shutdown.store(true, Ordering::Relaxed);
