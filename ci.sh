@@ -134,6 +134,7 @@ for WORKERS in 1 2; do
         > "/tmp/codesign_all_$WORKERS.json" 2> "/tmp/codesign_all_$WORKERS.txt"
 done
 cmp /tmp/codesign_all_1.json /tmp/codesign_all_2.json
+jq -e 'length == 6' /tmp/codesign_all_1.json > /dev/null
 for WORKERS in 1 2; do
     test "$(counter "/tmp/codesign_all_$WORKERS.txt" router.heap_pops)" -eq 57763836
     test "$(counter "/tmp/codesign_all_$WORKERS.txt" router.expansions)" -eq 41042002

@@ -277,7 +277,93 @@ struct ServeStats {
     context_hits: AtomicU64,
     context_misses: AtomicU64,
     in_flight: AtomicU64,
-    latencies_us: Mutex<Vec<u64>>,
+    latencies_us: LatencyHistogram,
+}
+
+/// `log2` of the sub-buckets per power of two in [`LatencyHistogram`]:
+/// every value below `2 << LATENCY_SUB_BITS` µs has a bucket of its own.
+const LATENCY_SUB_BITS: u32 = 7;
+const LATENCY_SUB_BUCKETS: u64 = 1 << LATENCY_SUB_BITS;
+
+/// Highest power of two [`LatencyHistogram`] resolves; latencies of
+/// `2^(LATENCY_MAX_EXP + 1)` µs (about 19 hours) and above clamp into
+/// the top bucket.
+const LATENCY_MAX_EXP: u32 = 35;
+
+/// Request latencies in µs as a fixed log-linear histogram: 128 buckets
+/// per power of two, 3 840 `AtomicU64`s (30 KiB) whatever the request
+/// count. Recording is one relaxed `fetch_add`; a percentile reads the
+/// lower bound of the bucket holding the nearest rank, which is within
+/// 1/128 of the exact nearest-rank value and exact below 256 µs.
+#[derive(Debug)]
+struct LatencyHistogram {
+    buckets: Box<[AtomicU64]>,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> LatencyHistogram {
+        // The exact buckets below 256 µs, then 128 per power of two up
+        // to `LATENCY_MAX_EXP`.
+        let len = (2 + u64::from(LATENCY_MAX_EXP - LATENCY_SUB_BITS)) * LATENCY_SUB_BUCKETS;
+        LatencyHistogram {
+            buckets: (0..len).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+}
+
+impl LatencyHistogram {
+    /// Bucket index of `us`: the value itself below 256; above, the
+    /// power of two picks a run of 128 buckets and the 7 bits after the
+    /// leading one pick the bucket within it.
+    fn bucket(&self, us: u64) -> usize {
+        let index = if us < 2 * LATENCY_SUB_BUCKETS {
+            us
+        } else {
+            let shift = u64::from(63 - us.leading_zeros() - LATENCY_SUB_BITS);
+            shift * LATENCY_SUB_BUCKETS + (us >> shift)
+        };
+        index.min(self.buckets.len() as u64 - 1) as usize
+    }
+
+    /// The smallest latency that lands in bucket `index`.
+    fn lower_bound(index: usize) -> u64 {
+        let index = index as u64;
+        if index < 2 * LATENCY_SUB_BUCKETS {
+            index
+        } else {
+            let shift = index / LATENCY_SUB_BUCKETS - 1;
+            (index % LATENCY_SUB_BUCKETS + LATENCY_SUB_BUCKETS) << shift
+        }
+    }
+
+    fn record(&self, us: u64) {
+        self.buckets[self.bucket(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Nearest-rank `percent` percentile in µs (0 when empty), rounded
+    /// down to its bucket's lower bound.
+    fn percentile_us(&self, percent: f64) -> u64 {
+        let count = self.count();
+        if count == 0 {
+            return 0;
+        }
+        let rank = ((percent / 100.0) * count as f64).ceil() as u64;
+        let rank = rank.clamp(1, count);
+        // Buckets only grow, so a second pass reaches `rank` even while
+        // requests keep recording.
+        let mut seen = 0;
+        for (index, bucket) in self.buckets.iter().enumerate() {
+            seen += bucket.load(Ordering::Relaxed);
+            if seen >= rank {
+                return Self::lower_bound(index);
+            }
+        }
+        Self::lower_bound(self.buckets.len() - 1)
+    }
 }
 
 #[derive(Debug)]
@@ -774,12 +860,7 @@ fn worker_loop(shared: &Shared) {
         let response =
             outcome.unwrap_or_else(|_| Response::json(500, error_body("request worker panicked")));
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        shared
-            .stats
-            .latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(elapsed_us);
+        shared.stats.latencies_us.record(elapsed_us);
         shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         techlib::obs::add(techlib::obs::SERVE_COMPLETED, 1);
@@ -1157,23 +1238,8 @@ fn admit_sweep(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-fn percentile_us(sorted: &[u64], percent: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((percent / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 fn stats_body(shared: &Shared) -> String {
     let queue_depth = shared.lock_queue().jobs.len();
-    let mut latencies = shared
-        .stats
-        .latencies_us
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    latencies.sort_unstable();
     let stats = &shared.stats;
     let hits = stats.context_hits.load(Ordering::Relaxed);
     let misses = stats.context_misses.load(Ordering::Relaxed);
@@ -1220,8 +1286,8 @@ fn stats_body(shared: &Shared) -> String {
         store.misses,
         store.writes,
         store.invalid,
-        percentile_us(&latencies, 50.0),
-        percentile_us(&latencies, 99.0),
+        stats.latencies_us.percentile_us(50.0),
+        stats.latencies_us.percentile_us(99.0),
         u64::try_from(shared.started.elapsed().as_micros()).unwrap_or(u64::MAX),
     )
 }
@@ -1402,14 +1468,59 @@ mod tests {
         assert_eq!(header_ms(&request, HOLD_HEADER), Ok(None));
     }
 
+    fn histogram_of(latencies: &[u64]) -> LatencyHistogram {
+        let h = LatencyHistogram::default();
+        for &us in latencies {
+            h.record(us);
+        }
+        h
+    }
+
     #[test]
     fn percentiles_use_nearest_rank() {
-        assert_eq!(percentile_us(&[], 50.0), 0);
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&sorted, 50.0), 50);
-        assert_eq!(percentile_us(&sorted, 99.0), 99);
-        assert_eq!(percentile_us(&sorted, 100.0), 100);
-        assert_eq!(percentile_us(&[7], 99.0), 7);
+        assert_eq!(histogram_of(&[]).percentile_us(50.0), 0);
+        let h = histogram_of(&(1..=100).collect::<Vec<u64>>());
+        assert_eq!(h.percentile_us(50.0), 50);
+        assert_eq!(h.percentile_us(99.0), 99);
+        assert_eq!(h.percentile_us(100.0), 100);
+        assert_eq!(histogram_of(&[7]).percentile_us(99.0), 7);
+    }
+
+    #[test]
+    fn histogram_percentiles_stay_within_one_bucket_of_nearest_rank() {
+        // Log-uniform latencies from 1 µs to 10 s, from a fixed LCG.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let latencies: Vec<u64> = (0..10_000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                (1e7f64.powf(unit).round() as u64).max(1)
+            })
+            .collect();
+        let fresh = std::mem::size_of_val(&*LatencyHistogram::default().buckets);
+        let h = histogram_of(&latencies);
+        assert_eq!(std::mem::size_of_val(&*h.buckets), fresh);
+        assert!(fresh <= 32 * 1024, "{fresh} bytes");
+        assert_eq!(h.count(), 10_000);
+        let mut sorted = latencies;
+        sorted.sort_unstable();
+        for percent in [50.0, 99.0] {
+            let rank = ((percent / 100.0) * sorted.len() as f64).ceil() as usize;
+            let exact = sorted[rank - 1];
+            let got = h.percentile_us(percent);
+            assert!(
+                got <= exact && exact - got <= exact / 128,
+                "p{percent}: histogram {got} vs nearest rank {exact}"
+            );
+        }
+        // Beyond the top bucket a latency clamps instead of overflowing.
+        let top = histogram_of(&[u64::MAX]);
+        assert_eq!(
+            top.percentile_us(50.0),
+            LatencyHistogram::lower_bound(top.buckets.len() - 1)
+        );
     }
 
     #[test]

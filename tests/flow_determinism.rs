@@ -159,6 +159,13 @@ fn paper_studies_hash_is_pinned() {
         format!("{:016x}", fnv1a(json.as_bytes())),
         "c134daec37b29ea7"
     );
+    // The pretty form is what `codesign --all --json` prints: pin its
+    // indentation and separators too (664 119 bytes).
+    let pretty = serde_json::to_string_pretty(&studies).expect("serializes");
+    assert_eq!(
+        format!("{:016x}", fnv1a(pretty.as_bytes())),
+        "da651d2ca6fd41df"
+    );
 }
 
 /// `run_all_in` claims the technologies heaviest route first, which is
