@@ -7,6 +7,13 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+# perfbench is its own workspace, so the root build never compiles it.
+# Build it and run its unit tests here: a codesign API change that
+# breaks the benchmark then fails CI, not the next benchmark run.
+echo "==> perfbench build + unit tests"
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

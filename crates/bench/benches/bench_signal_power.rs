@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use techlib::spec::InterposerKind;
+use techlib::spec::{InterposerKind, InterposerSpec};
 
 /// Fig. 14: one full PRBS eye with two aggressors.
 fn bench_fig14(c: &mut Criterion) {
@@ -46,15 +46,13 @@ fn bench_fig15(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig15_pdn");
     g.sample_size(10);
     g.measurement_time(std::time::Duration::from_secs(20));
+    let glass3d = InterposerSpec::for_kind(InterposerKind::Glass3D);
     g.bench_function("glass3d_impedance_sweep", |b| {
-        b.iter(|| {
-            black_box(
-                pi::impedance::ImpedanceProfile::sweep(InterposerKind::Glass3D, 61).expect("sweep"),
-            )
-        })
+        b.iter(|| black_box(pi::impedance::ImpedanceProfile::sweep(&glass3d, 61).expect("sweep")))
     });
+    let shinko = InterposerSpec::for_kind(InterposerKind::Shinko);
     g.bench_function("shinko_transient_settling", |b| {
-        b.iter(|| black_box(pi::transient::analyze(InterposerKind::Shinko).expect("transient")))
+        b.iter(|| black_box(pi::transient::analyze(&shinko).expect("transient")))
     });
     g.finish();
 }

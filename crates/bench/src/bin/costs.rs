@@ -6,7 +6,10 @@ fn main() -> Result<(), codesign::FlowError> {
         "{:<14}{:>12}{:>10}{:>12}{:>10}",
         "tech", "substrate", "yield", "total RCU", "vs G3D"
     );
-    let reports = codesign::cost::cost_all().expect("cost model");
+    // One context for the cost table and every sweep below, so the
+    // sweeps derive the netlist front end once.
+    let ctx = codesign::StudyContext::paper();
+    let reports = codesign::cost::cost_all(&ctx);
     let g3 = reports
         .iter()
         .find(|r| r.tech == techlib::spec::InterposerKind::Glass3D)
@@ -24,9 +27,6 @@ fn main() -> Result<(), codesign::FlowError> {
     }
 
     bench::banner("Sensitivity sweeps (optimization opportunities)");
-    // One context for every sweep: the netlist front end is derived once
-    // and shared (the default context also shares it with the flow).
-    let ctx = codesign::default_context();
     println!("glass logic die width vs bump pitch:");
     for p in codesign::sensitivity::footprint_vs_bump_pitch(&ctx, &[15.0, 25.0, 35.0, 45.0, 55.0])?
     {

@@ -1,9 +1,10 @@
 //! Regenerates Fig. 14 (eye diagrams, victim + 2 aggressors, 0.7 Gbps).
+use codesign::StudyContext;
 use interposer::diemap::NetClass;
-use interposer::report::cached_layout;
 use si::eye::{lateral_eye, stacked_via_eye, EyeConfig};
 use techlib::spec::InterposerKind;
 fn main() {
+    let ctx = StudyContext::paper();
     bench::banner(
         "Fig. 14 - eye diagrams (paper: glass3D L2M 1.415ns/0.89V; Si2.5D L2L 1.03ns/0.401V)",
     );
@@ -15,11 +16,11 @@ fn main() {
         ),
     ] {
         println!("--- {label} ---");
-        print_family(&cfg);
+        print_family(&ctx, &cfg);
     }
 }
 
-fn print_family(cfg: &EyeConfig) {
+fn print_family(ctx: &StudyContext, cfg: &EyeConfig) {
     let cfg = cfg.clone();
     println!(
         "{:<14}{:>6}{:>12}{:>12}",
@@ -37,7 +38,7 @@ fn print_family(cfg: &EyeConfig) {
         InterposerKind::Shinko,
         InterposerKind::Apx,
     ] {
-        let layout = cached_layout(tech).expect("layout");
+        let layout = ctx.layout(tech).expect("layout");
         if tech != InterposerKind::Glass3D {
             let len = layout.worst_net_um(NetClass::IntraTileLateral);
             let e = lateral_eye(tech, len, &cfg).expect("eye");

@@ -1,11 +1,9 @@
 //! Regenerates Fig. 15 (PDN impedance profiles) as CSV-like series.
-use pi::impedance::ImpedanceProfile;
+use techlib::spec::{InterposerKind, InterposerSpec};
 fn main() {
     bench::banner("Fig. 15 - PDN impedance vs frequency (paper peaks: glass3D 0.97, Si 7.4, glass2.5D 20.7, APX 58, Shinko 180 ohm)");
-    let profiles: Vec<ImpedanceProfile> = techlib::spec::InterposerKind::PACKAGED
-        .iter()
-        .map(|&t| ImpedanceProfile::sweep(t, 61).expect("sweep"))
-        .collect();
+    let specs = InterposerKind::PACKAGED.map(InterposerSpec::for_kind);
+    let profiles = pi::impedance::figure15(&specs, 61).expect("sweep");
     print!("{:>12}", "freq Hz");
     for p in &profiles {
         print!("{:>14}", p.tech.label());

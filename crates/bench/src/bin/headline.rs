@@ -3,7 +3,7 @@ fn main() {
     bench::banner(
         "Headline metrics (paper: 2.6x area, 21x WL, 17.72% power, 64.7% SI, 10x PI, +35% thermal)",
     );
-    let h = codesign::compare::headline().expect("headline");
+    let h = codesign::compare::headline(&codesign::StudyContext::paper()).expect("headline");
     println!("  area reduction        {:>8.2}x", h.area_reduction_x);
     println!("  wirelength reduction  {:>8.1}x", h.wirelength_reduction_x);
     println!(

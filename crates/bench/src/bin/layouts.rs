@@ -1,6 +1,6 @@
 //! Writes SVG renderings of every interposer layout (Fig. 10/12 views)
 //! and the thermal heat maps (Fig. 18) to ./artifacts/.
-use interposer::report::cached_layout;
+use codesign::StudyContext;
 use interposer::svg::{render, SvgOptions};
 use techlib::spec::InterposerKind;
 use thermal::model::ThermalModel;
@@ -8,8 +8,9 @@ use thermal::solver::{solve, SolveConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all("artifacts")?;
+    let ctx = StudyContext::paper();
     for tech in InterposerKind::INTERPOSER_BASED {
-        let layout = cached_layout(tech)?;
+        let layout = ctx.layout(tech)?;
         let svg = render(&layout, &SvgOptions::default());
         let name = format!(
             "artifacts/layout_{}.svg",
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote {name}");
     }
     for tech in [InterposerKind::Glass25D, InterposerKind::Silicon25D] {
-        let layout = cached_layout(tech)?;
+        let layout = ctx.layout(tech)?;
         let map = interposer::congestion::analyze(&layout).expect("congestion analyzes");
         let svg = interposer::congestion::render_layer(&map, 0, 4.0);
         let name = format!(

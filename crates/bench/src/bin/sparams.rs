@@ -1,14 +1,16 @@
 //! Writes Touchstone .s2p files for every Table V channel (the Fig. 13
 //! S-parameter hand-off) and prints the Nyquist insertion loss summary.
-use codesign::table5::{channels_for, MonitorLengths};
+use codesign::table5::{channels_for_in, MonitorLengths};
+use codesign::StudyContext;
 use techlib::spec::InterposerKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all("artifacts")?;
+    let ctx = StudyContext::paper();
     bench::banner("Channel S-parameters (insertion loss at 0.35 GHz Nyquist)");
     println!("{:<14}{:>8}{:>14}", "tech", "link", "IL dB");
     for tech in InterposerKind::PACKAGED {
-        let (l2m, l2l) = channels_for(tech, MonitorLengths::Paper)?;
+        let (l2m, l2l) = channels_for_in(&ctx, tech, MonitorLengths::Paper)?;
         for (label, ch) in [("L2M", l2m), ("L2L", l2l)] {
             println!(
                 "{:<14}{:>8}{:>14.4}",

@@ -8,15 +8,12 @@
 
 use codesign::flow::TechStudy;
 use codesign::table5::MonitorLengths;
+use codesign::StudyContext;
 
-/// Runs (and process-caches) the full six-technology study used by the
-/// table binaries.
-pub fn studies() -> &'static [TechStudy] {
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<Vec<TechStudy>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        codesign::flow::run_all(MonitorLengths::Routed).expect("full study completes")
-    })
+/// Runs the full six-technology paper study used by the table binaries.
+pub fn studies() -> Vec<TechStudy> {
+    codesign::flow::run_all_in(&StudyContext::paper(), MonitorLengths::Routed)
+        .expect("full study completes")
 }
 
 /// Prints a paper-vs-measured header.

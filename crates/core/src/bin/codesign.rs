@@ -19,9 +19,10 @@
 //! stderr. Both are strictly observational: enabling them never changes
 //! any study output byte.
 
-use codesign::flow::{run_all, run_tech, TechStudy};
+use codesign::flow::{run_all_in, run_tech_in, TechStudy};
 use codesign::scenario::{kind_from_str, scenarios_from_json};
 use codesign::table5::MonitorLengths;
+use codesign::StudyContext;
 use std::path::PathBuf;
 use std::sync::Arc;
 use techlib::spec::InterposerKind;
@@ -300,7 +301,7 @@ fn all(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         usage();
     }
     arm_observability(&opts);
-    let studies = run_all(MonitorLengths::Routed)?;
+    let studies = run_all_in(&StudyContext::paper(), MonitorLengths::Routed)?;
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&studies)?);
     } else {
@@ -334,7 +335,7 @@ fn single(tech: InterposerKind, args: &[String]) -> Result<(), Box<dyn std::erro
         usage();
     }
     arm_observability(&opts);
-    let study = run_tech(tech)?;
+    let study = run_tech_in(&StudyContext::paper(), tech, MonitorLengths::Routed)?;
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&study)?);
     } else {

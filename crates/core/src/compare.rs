@@ -11,13 +11,14 @@
 //! * **10× power integrity** — peak PDN impedance versus Silicon 2.5D;
 //! * **+35 % thermal** — the embedded memory die's price.
 
+use crate::context::StudyContext;
+use crate::fullchip::fullchip_in;
+use crate::table5::MonitorLengths;
 use crate::FlowError;
-use interposer::report::cached_layout;
 use pi::impedance::ImpedanceProfile;
 use serde::Serialize;
 use si::eye::{lateral_eye, stacked_via_eye, EyeConfig};
 use techlib::spec::InterposerKind;
-use thermal::report::analyze_tech;
 
 /// The headline metrics of the study.
 #[derive(Debug, Clone, Serialize)]
@@ -37,27 +38,21 @@ pub struct Headline {
     pub thermal_increase_frac: f64,
 }
 
-/// Computes the headline metrics from the full study.
+/// Computes the headline metrics from the study `ctx` serves.
 ///
 /// # Errors
 ///
 /// Propagates routing and simulation failures.
-pub fn headline() -> Result<Headline, FlowError> {
-    let g3 = cached_layout(InterposerKind::Glass3D)?;
-    let g25 = cached_layout(InterposerKind::Glass25D)?;
-    let si = cached_layout(InterposerKind::Silicon25D)?;
+pub fn headline(ctx: &StudyContext) -> Result<Headline, FlowError> {
+    let g3 = ctx.layout(InterposerKind::Glass3D)?;
+    let g25 = ctx.layout(InterposerKind::Glass25D)?;
+    let si = ctx.layout(InterposerKind::Silicon25D)?;
 
     let area_reduction_x = g25.stats.area_mm2 / g3.stats.area_mm2;
     let wirelength_reduction_x = si.stats.total_wl_mm / g3.stats.total_wl_mm;
 
-    let p_g3 = crate::fullchip::fullchip(
-        InterposerKind::Glass3D,
-        crate::table5::MonitorLengths::Paper,
-    )?;
-    let p_g25 = crate::fullchip::fullchip(
-        InterposerKind::Glass25D,
-        crate::table5::MonitorLengths::Paper,
-    )?;
+    let p_g3 = fullchip_in(ctx, InterposerKind::Glass3D, MonitorLengths::Paper)?;
+    let p_g25 = fullchip_in(ctx, InterposerKind::Glass25D, MonitorLengths::Paper)?;
     let power_reduction_frac = 1.0 - p_g3.total_power_mw / p_g25.total_power_mw;
 
     // The paper's eye decks drive a 50 Ω receiver (Section VII-A); the
@@ -72,12 +67,12 @@ pub fn headline() -> Result<Headline, FlowError> {
     let si_improvement_frac =
         (eye_g3.width_ns * eye_g3.height_v) / (eye_si.width_ns * eye_si.height_v) - 1.0;
 
-    let z_g3 = ImpedanceProfile::sweep(InterposerKind::Glass3D, 41)?.peak_ohm();
-    let z_si = ImpedanceProfile::sweep(InterposerKind::Silicon25D, 41)?.peak_ohm();
+    let z_g3 = ImpedanceProfile::sweep(ctx.spec(InterposerKind::Glass3D), 41)?.peak_ohm();
+    let z_si = ImpedanceProfile::sweep(ctx.spec(InterposerKind::Silicon25D), 41)?.peak_ohm();
     let pi_improvement_x = z_si / z_g3;
 
-    let t_g3 = analyze_tech(InterposerKind::Glass3D)?;
-    let t_si = analyze_tech(InterposerKind::Silicon25D)?;
+    let t_g3 = ctx.thermal_report(InterposerKind::Glass3D)?;
+    let t_si = ctx.thermal_report(InterposerKind::Silicon25D)?;
     let thermal_increase_frac = t_g3.mem_peak_c / t_si.mem_peak_c - 1.0;
 
     Ok(Headline {
@@ -96,7 +91,7 @@ mod tests {
 
     #[test]
     fn headline_directions_match_the_abstract() {
-        let h = headline().unwrap();
+        let h = headline(crate::context::test_context()).unwrap();
         // 2.6× area.
         assert!(
             (2.0..3.2).contains(&h.area_reduction_x),

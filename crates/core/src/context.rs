@@ -16,11 +16,12 @@
 //!   get a private throwaway store;
 //! * [`StudyContext::paper`], [`StudyContext::for_scenario`] and
 //!   [`StudyContext::for_scenario_with`] without a store each get a
-//!   fresh private store;
-//! * [`default_context`] runs over [`techlib::store::process_store`],
-//!   the store behind the legacy [`interposer::report::cached_layout`] /
-//!   [`thermal::report::analyze_tech`] shims, so the old entry points
-//!   and the context path never compute the same artifact twice.
+//!   fresh private store.
+//!
+//! There is no process-wide context: every entry point of the flow
+//! takes the context it runs in, so a caller that wants two runs to
+//! share artifacts passes them one context, and artifacts are freed
+//! with the last handle to their store.
 
 use crate::scenario::Scenario;
 use crate::table5::{MonitorLengths, Table5Row};
@@ -195,8 +196,7 @@ pub struct StudyContext {
 
 impl StudyContext {
     /// A fresh context serving the paper-default Table I specs over a
-    /// private store (unlike [`default_context`], which shares the
-    /// process-wide store with the legacy shims).
+    /// private store.
     pub fn paper() -> StudyContext {
         StudyContext::over(
             "paper".to_string(),
@@ -429,22 +429,12 @@ fn scenario_specs(scenario: &Scenario) -> [InterposerSpec; InterposerKind::COUNT
     InterposerKind::ALL.map(|kind| scenario.spec_for(kind))
 }
 
-/// The process-wide context for the **paper default** configuration —
-/// what the legacy `run_tech` / `table5` / `fullchip` entry points use.
-/// It and its front end run over [`techlib::store::process_store`], the
-/// store behind [`interposer::report::cached_layout`] and
-/// [`thermal::report::analyze_tech`], so the legacy shims and the
-/// context path share one set of computations. Tests that need a cold
-/// default context call `default_context().store().clear()`.
-pub fn default_context() -> Arc<StudyContext> {
-    static DEFAULT: OnceLock<Arc<StudyContext>> = OnceLock::new();
-    Arc::clone(DEFAULT.get_or_init(|| {
-        Arc::new(StudyContext::over(
-            "paper".to_string(),
-            default_specs(),
-            techlib::store::process_store(),
-        ))
-    }))
+/// One paper context shared by this crate's unit tests, so each
+/// technology is routed and solved at most once per test binary.
+#[cfg(test)]
+pub(crate) fn test_context() -> &'static StudyContext {
+    static CTX: OnceLock<StudyContext> = OnceLock::new();
+    CTX.get_or_init(StudyContext::paper)
 }
 
 #[cfg(test)]
@@ -505,20 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn default_context_shares_the_legacy_layout_cache() {
-        let ctx = default_context();
-        let via_ctx = ctx.layout(InterposerKind::Glass3D).unwrap();
-        let via_shim = interposer::report::cached_layout(InterposerKind::Glass3D).unwrap();
-        assert!(
-            Arc::ptr_eq(&via_ctx, &via_shim),
-            "no double compute between paths"
-        );
-    }
-
-    #[test]
     fn artifacts_are_shared_by_handle() {
         // Two calls return the same Arc — the second is a store hit.
-        let ctx = default_context();
+        let ctx = test_context();
         assert!(Arc::ptr_eq(&ctx.design(), &ctx.design()));
         assert!(Arc::ptr_eq(&ctx.split().unwrap(), &ctx.split().unwrap()));
         assert!(Arc::ptr_eq(
@@ -536,7 +515,7 @@ mod tests {
         let fresh_split = netlist::partition::hierarchical_l3_split(&fresh_design).unwrap();
         let (fresh_logic, fresh_mem) =
             netlist::chiplet_netlist::chipletize(&fresh_design, &fresh_split, &SerdesPlan::paper());
-        let ctx = default_context();
+        let ctx = test_context();
         let netlists = ctx.chiplet_netlists().unwrap();
         let (logic_nl, mem_nl) = &*netlists;
         assert_eq!(logic_nl.signal_pins, fresh_logic.signal_pins);
@@ -553,7 +532,7 @@ mod tests {
 
     #[test]
     fn reports_cover_all_packaged_techs() {
-        let ctx = default_context();
+        let ctx = test_context();
         for tech in InterposerKind::PACKAGED {
             let pair = ctx.chiplet_reports(tech).unwrap();
             let (logic, memory) = &*pair;

@@ -11,7 +11,8 @@
 //! adders), documented inline; the model's value is the *ordering* and
 //! sensitivity, not absolute dollars.
 
-use interposer::report::cached_layout;
+use crate::context::StudyContext;
+use interposer::diemap;
 use serde::Serialize;
 use techlib::spec::{InterposerKind, InterposerSpec, Stacking};
 
@@ -66,6 +67,8 @@ pub fn defect_density(tech: InterposerKind) -> f64 {
 pub struct CostReport {
     /// Technology.
     pub tech: InterposerKind,
+    /// Interposer (or stack) area the model prices, mm².
+    pub area_mm2: f64,
     /// Patterned substrate cost, RCU.
     pub substrate_rcu: f64,
     /// Process adders, RCU.
@@ -76,18 +79,15 @@ pub struct CostReport {
     pub total_rcu: f64,
 }
 
-/// Computes the cost report for `tech`.
-///
-/// # Errors
-///
-/// Propagates routing failures (the interposer area comes from the
-/// routed layout).
-pub fn cost(tech: InterposerKind) -> Result<CostReport, interposer::RouteError> {
-    let spec = InterposerSpec::for_kind(tech);
-    let area_mm2 = match tech {
-        InterposerKind::Silicon3D => 0.94 * 0.94,
-        InterposerKind::Monolithic2D => 1.6 * 1.6,
-        _ => cached_layout(tech)?.stats.area_mm2,
+/// Computes the cost report for `spec`. The interposer area comes from
+/// die placement alone — the area the routed layout reports — so
+/// nothing is routed here.
+pub fn cost(spec: &InterposerSpec) -> CostReport {
+    let tech = spec.kind;
+    let area_mm2 = match spec.stacking {
+        Stacking::TsvStack => 0.94 * 0.94,
+        Stacking::Monolithic => 1.6 * 1.6,
+        Stacking::SideBySide | Stacking::Embedded => diemap::place_dies_with(spec).area_mm2(),
     };
     let layers = spec.signal_metal_layers as f64 + 2.0;
     let substrate =
@@ -131,30 +131,34 @@ pub fn cost(tech: InterposerKind) -> Result<CostReport, interposer::RouteError> 
         + adders.embedding
         + adders.thinning
         + adders.bonding_per_die * n_dies;
-    Ok(CostReport {
+    CostReport {
         tech,
+        area_mm2,
         substrate_rcu: substrate,
         adders,
         yield_frac,
         total_rcu: gross / yield_frac,
-    })
+    }
 }
 
-/// Cost reports for all six packaged technologies.
-///
-/// # Errors
-///
-/// Propagates per-technology failures.
-pub fn cost_all() -> Result<Vec<CostReport>, interposer::RouteError> {
-    InterposerKind::PACKAGED.iter().map(|&t| cost(t)).collect()
+/// Cost reports for all six packaged technologies under `ctx`'s specs.
+pub fn cost_all(ctx: &StudyContext) -> Vec<CostReport> {
+    InterposerKind::PACKAGED
+        .iter()
+        .map(|&t| cost(ctx.spec(t)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn paper(tech: InterposerKind) -> CostReport {
+        cost(&InterposerSpec::for_kind(tech))
+    }
+
     fn rcu(tech: InterposerKind) -> f64 {
-        cost(tech).unwrap().total_rcu
+        paper(tech).total_rcu
     }
 
     #[test]
@@ -168,8 +172,8 @@ mod tests {
 
     #[test]
     fn silicon_3d_pays_for_thinning() {
-        let s3 = cost(InterposerKind::Silicon3D).unwrap();
-        let s25 = cost(InterposerKind::Silicon25D).unwrap();
+        let s3 = paper(InterposerKind::Silicon3D);
+        let s25 = paper(InterposerKind::Silicon25D);
         assert!(s3.adders.thinning > 0.0);
         assert_eq!(s25.adders.thinning, 0.0);
     }
@@ -182,10 +186,21 @@ mod tests {
 
     #[test]
     fn yields_are_physical() {
-        for r in cost_all().unwrap() {
+        for r in cost_all(&StudyContext::paper()) {
             assert!(r.yield_frac > 0.8 && r.yield_frac <= 1.0, "{:?}", r.tech);
             assert!(r.total_rcu > 0.0);
         }
+    }
+
+    #[test]
+    fn wider_die_spacing_costs_more_area() {
+        // Cost follows the spec it is given, not the paper default.
+        let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
+        let mut wide = spec.clone();
+        wide.die_to_die_spacing_um *= 4.0;
+        let (base, wide) = (cost(&spec), cost(&wide));
+        assert!(wide.area_mm2 > base.area_mm2, "{wide:?} vs {base:?}");
+        assert!(wide.total_rcu > base.total_rcu, "{wide:?} vs {base:?}");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! One-call end-to-end study per technology.
 //!
-//! [`run_tech_in`] runs the flow against an explicit
-//! [`StudyContext`] — the scenario-scoped form the batch engine uses.
-//! The historical entry points ([`run_tech`], [`run_all`], …) delegate
-//! to the shared [`crate::context::default_context`], so they keep their
-//! signatures and their byte-identical outputs.
+//! [`run_tech_in`] runs the flow for one technology and [`run_all_in`]
+//! for all six, each against the [`StudyContext`] it is given: the
+//! context's resolved specs decide what is computed and its store
+//! decides what is shared. The paper's own study is
+//! `run_all_in(&StudyContext::paper(), MonitorLengths::Routed)`.
 
-use crate::context::{default_context, StudyContext};
+use crate::context::StudyContext;
 use crate::fullchip::{rollup, FullChipReport};
 use crate::scenario::Scenario;
 use crate::table5::{row_in, MonitorLengths, Table5Row};
@@ -35,26 +35,6 @@ pub struct TechStudy {
     pub fullchip: FullChipReport,
     /// Thermal peaks (Fig. 17).
     pub thermal: ThermalReport,
-}
-
-/// Runs the complete co-design flow for `tech` using our own routed
-/// layouts as the monitored nets.
-///
-/// # Errors
-///
-/// Propagates netlist, routing and simulation failures.
-pub fn run_tech(tech: InterposerKind) -> Result<TechStudy, FlowError> {
-    run_tech_with(tech, MonitorLengths::Routed)
-}
-
-/// Runs the flow with an explicit monitored-net mode, against the
-/// shared default (paper-configuration) context.
-///
-/// # Errors
-///
-/// Propagates netlist, routing and simulation failures.
-pub fn run_tech_with(tech: InterposerKind, mode: MonitorLengths) -> Result<TechStudy, FlowError> {
-    run_tech_in(&default_context(), tech, mode)
 }
 
 /// Runs the flow for `tech` against an explicit study context — the
@@ -160,26 +140,11 @@ pub fn run_scenario(scenario: &Scenario) -> Result<TechStudy, FlowError> {
     batch::run_in_context(&StudyContext::for_scenario(scenario), scenario)
 }
 
-/// Runs the study for all six packaged technologies, fanning the
-/// independent per-technology studies out across scoped threads,
-/// heaviest route first ([`exec::ordered_map_heaviest_first`]). Results
-/// are in `PACKAGED` order and byte-identical to [`run_all_sequential`]
-/// — every study is self-contained and all RNG is fixed-seed.
-///
-/// # Errors
-///
-/// [`FlowError::InvalidConfig`] if `CODESIGN_THREADS` is set to garbage,
-/// otherwise per-technology failures (first failing technology in
-/// `PACKAGED` order, matching the sequential path).
-pub fn run_all(mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
-    // Surface a malformed CODESIGN_THREADS as a typed error up front
-    // instead of silently falling back to the default parallelism.
-    techlib::par::try_thread_count()?;
-    run_all_in(&default_context(), mode)
-}
-
-/// [`run_all`] against an explicit context (all six packaged
-/// technologies, parallel, results in `PACKAGED` order).
+/// Runs the study for all six packaged technologies against `ctx`,
+/// fanning the independent per-technology studies out across scoped
+/// threads. Results are in `PACKAGED` order and byte-identical to
+/// [`run_all_sequential`] — every study is self-contained and all RNG
+/// is fixed-seed.
 ///
 /// The routed study dominates each technology's cost and varies 200×
 /// between technologies, so the studies are claimed in descending order
@@ -189,9 +154,13 @@ pub fn run_all(mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
 ///
 /// # Errors
 ///
-/// Per-technology failures, first failing technology in `PACKAGED`
-/// order.
+/// [`FlowError::InvalidConfig`] if `CODESIGN_THREADS` is set to garbage,
+/// otherwise per-technology failures (first failing technology in
+/// `PACKAGED` order, matching the sequential path).
 pub fn run_all_in(ctx: &StudyContext, mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
+    // Surface a malformed CODESIGN_THREADS as a typed error up front
+    // instead of silently falling back to the default parallelism.
+    techlib::par::try_thread_count()?;
     exec::ordered_map_heaviest_first(
         &InterposerKind::PACKAGED,
         |&tech| interposer::report::routing_grid_nodes(ctx.spec(tech)),
@@ -201,28 +170,35 @@ pub fn run_all_in(ctx: &StudyContext, mode: MonitorLengths) -> Result<Vec<TechSt
     .collect()
 }
 
-/// Sequential reference implementation of [`run_all`] (same work, one
-/// technology at a time). Kept callable for benchmarking and for the
-/// determinism integration test.
+/// Sequential reference implementation of [`run_all_in`] (same work,
+/// one technology at a time). Kept callable for benchmarking and for
+/// the determinism integration test.
 ///
 /// # Errors
 ///
 /// Propagates per-technology failures.
-pub fn run_all_sequential(mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
-    let ctx = default_context();
+pub fn run_all_sequential(
+    ctx: &StudyContext,
+    mode: MonitorLengths,
+) -> Result<Vec<TechStudy>, FlowError> {
     InterposerKind::PACKAGED
         .iter()
-        .map(|&tech| run_tech_in(&ctx, tech, mode))
+        .map(|&tech| run_tech_in(ctx, tech, mode))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::test_context;
+
+    fn paper_study(tech: InterposerKind) -> Result<TechStudy, FlowError> {
+        run_tech_in(test_context(), tech, MonitorLengths::Routed)
+    }
 
     #[test]
     fn glass_3d_study_is_complete() {
-        let s = run_tech(InterposerKind::Glass3D).unwrap();
+        let s = paper_study(InterposerKind::Glass3D).unwrap();
         assert_eq!(s.tech, InterposerKind::Glass3D);
         assert!(s.routing.is_some());
         assert!(s.fullchip.total_power_mw > 300.0);
@@ -232,14 +208,14 @@ mod tests {
 
     #[test]
     fn silicon_3d_study_has_no_interposer() {
-        let s = run_tech(InterposerKind::Silicon3D).unwrap();
+        let s = paper_study(InterposerKind::Silicon3D).unwrap();
         assert!(s.routing.is_none());
         assert!(s.links.l2m.interconnect_delay_ps < 2.0);
     }
 
     #[test]
     fn study_serializes_to_json() {
-        let s = run_tech(InterposerKind::Glass3D).unwrap();
+        let s = paper_study(InterposerKind::Glass3D).unwrap();
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("Glass3D"));
         assert!(json.len() > 1000);
@@ -247,12 +223,12 @@ mod tests {
 
     #[test]
     fn scenario_run_matches_the_default_path() {
-        let default = run_tech(InterposerKind::Glass3D).unwrap();
+        let default = paper_study(InterposerKind::Glass3D).unwrap();
         let scenario = run_scenario(&Scenario::paper(InterposerKind::Glass3D)).unwrap();
         assert_eq!(
             serde_json::to_string(&default).unwrap(),
             serde_json::to_string(&scenario).unwrap(),
-            "the paper scenario is byte-identical to the legacy path"
+            "the paper scenario is byte-identical to the paper context"
         );
     }
 }

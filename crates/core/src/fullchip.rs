@@ -8,7 +8,7 @@
 //! the pipelined mode, or by chiplet + off-chip delay in the
 //! non-pipelined mode.
 
-use crate::context::{default_context, StudyContext};
+use crate::context::StudyContext;
 use crate::table5::{row_in, MonitorLengths, Table5Row};
 use crate::FlowError;
 use chiplet::report::ChipletReport;
@@ -92,17 +92,8 @@ pub fn monolithic_power_mw(logic: &ChipletReport, memory: &ChipletReport) -> f64
     internal_leak + switching
 }
 
-/// Builds the roll-up for `tech` using our routed worst nets (default
-/// context).
-///
-/// # Errors
-///
-/// Propagates netlist, routing and simulation failures.
-pub fn fullchip(tech: InterposerKind, mode: MonitorLengths) -> Result<FullChipReport, FlowError> {
-    fullchip_in(&default_context(), tech, mode)
-}
-
-/// [`fullchip`] against an explicit study context.
+/// Builds the roll-up for `tech` from `ctx`'s chiplet reports and its
+/// Table V row in `mode`.
 ///
 /// # Errors
 ///
@@ -123,7 +114,7 @@ mod tests {
     use super::*;
 
     fn report(tech: InterposerKind) -> FullChipReport {
-        fullchip(tech, MonitorLengths::Paper).unwrap()
+        fullchip_in(crate::context::test_context(), tech, MonitorLengths::Paper).unwrap()
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //! # Example
 //!
 //! ```no_run
-//! let study = codesign::flow::run_tech(techlib::spec::InterposerKind::Glass3D)?;
+//! use codesign::table5::MonitorLengths;
+//! use techlib::spec::InterposerKind;
+//!
+//! let ctx = codesign::StudyContext::paper();
+//! let study = codesign::flow::run_tech_in(&ctx, InterposerKind::Glass3D, MonitorLengths::Routed)?;
 //! println!("system power: {:.1} mW", study.fullchip.total_power_mw);
 //! # Ok::<(), codesign::FlowError>(())
 //! ```
@@ -36,8 +40,8 @@ pub mod serve;
 pub mod table5;
 pub mod tables;
 
-pub use context::{default_context, StudyContext};
-pub use flow::{run_scenario, run_tech, TechStudy};
+pub use context::StudyContext;
+pub use flow::{run_scenario, TechStudy};
 pub use fullchip::FullChipReport;
 pub use scenario::{Scenario, ScenarioOverrides};
 

@@ -4,12 +4,11 @@
 //! logic-to-memory (intra-tile) and logic-to-logic (inter-tile)
 //! connection. Lengths come either from our own routed layouts
 //! (self-consistent mode) or from the paper's monitored nets (for direct
-//! Table V comparison). The `_in` forms take an explicit
-//! [`StudyContext`], so scenario overrides reach the channel geometry
-//! and the link decks; the historical forms delegate to the shared
-//! default context.
+//! Table V comparison). Every entry point takes the [`StudyContext`] it
+//! runs in, so scenario overrides reach the channel geometry and the
+//! link decks.
 
-use crate::context::{default_context, StudyContext};
+use crate::context::StudyContext;
 use crate::FlowError;
 use interposer::diemap::NetClass;
 use serde::{Deserialize, Serialize};
@@ -47,18 +46,6 @@ pub fn paper_lengths(tech: InterposerKind) -> Option<(f64, f64)> {
         InterposerKind::Apx => Some((5_900.0, 3_500.0)),
         _ => None,
     }
-}
-
-/// The two channels monitored for `tech` (default context).
-///
-/// # Errors
-///
-/// Propagates routing failures in [`MonitorLengths::Routed`] mode.
-pub fn channels_for(
-    tech: InterposerKind,
-    mode: MonitorLengths,
-) -> Result<(ChannelKind, ChannelKind), FlowError> {
-    channels_for_in(&default_context(), tech, mode)
 }
 
 /// The two channels monitored for `tech`, with routed lengths and
@@ -207,15 +194,6 @@ pub(crate) fn simulate_row(
     Ok(Table5Row { tech, l2m, l2l })
 }
 
-/// Builds one Table V row against the default context.
-///
-/// # Errors
-///
-/// Propagates routing and simulation failures.
-pub fn row(tech: InterposerKind, mode: MonitorLengths) -> Result<Table5Row, FlowError> {
-    row_in(&default_context(), tech, mode)
-}
-
 /// Builds one Table V row against an explicit context: each link is
 /// simulated with the spec of the channel's own technology as resolved
 /// by `ctx` (scenario overrides reach the RLGC extraction and the bump
@@ -233,26 +211,26 @@ pub fn row_in(
     ctx.links_row(tech, mode).map(|row| (*row).clone())
 }
 
-/// Builds the whole Table V (all six packaged technologies), simulating
-/// the independent per-technology rows in parallel; rows come back in
-/// `PACKAGED` order.
+/// Builds the whole Table V (all six packaged technologies) against
+/// `ctx`, simulating the independent per-technology rows in parallel;
+/// rows come back in `PACKAGED` order.
 ///
 /// # Errors
 ///
 /// Propagates per-row failures (first failing technology in `PACKAGED`
 /// order).
-pub fn table5(mode: MonitorLengths) -> Result<Vec<Table5Row>, FlowError> {
-    let ctx = default_context();
-    crate::exec::try_ordered_map(&InterposerKind::PACKAGED, |&tech| row_in(&ctx, tech, mode))
+pub fn table5(ctx: &StudyContext, mode: MonitorLengths) -> Result<Vec<Table5Row>, FlowError> {
+    crate::exec::try_ordered_map(&InterposerKind::PACKAGED, |&tech| row_in(ctx, tech, mode))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::test_context;
 
     #[test]
     fn paper_mode_reproduces_table5_orderings() {
-        let rows = table5(MonitorLengths::Paper).unwrap();
+        let rows = table5(test_context(), MonitorLengths::Paper).unwrap();
         let get = |t: InterposerKind| rows.iter().find(|r| r.tech == t).unwrap();
         let si3d = get(InterposerKind::Silicon3D);
         let g3 = get(InterposerKind::Glass3D);
@@ -293,7 +271,7 @@ mod tests {
     fn routed_mode_glass_beats_silicon_absolutely() {
         // With our own routed worst nets, the absolute L2M ordering of
         // Table V holds directly.
-        let rows = table5(MonitorLengths::Routed).unwrap();
+        let rows = table5(test_context(), MonitorLengths::Routed).unwrap();
         let get = |t: InterposerKind| rows.iter().find(|r| r.tech == t).unwrap();
         let g25 = get(InterposerKind::Glass25D);
         let si25 = get(InterposerKind::Silicon25D);
@@ -307,7 +285,7 @@ mod tests {
 
     #[test]
     fn routed_mode_produces_all_rows() {
-        let rows = table5(MonitorLengths::Routed).unwrap();
+        let rows = table5(test_context(), MonitorLengths::Routed).unwrap();
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(r.l2m.total_delay_ps() > 0.0, "{}", r.tech);

@@ -244,20 +244,20 @@ pub fn render_layer(map: &CongestionMap, layer: usize, cell_px: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::cached_layout;
+    use crate::report::test_layout;
     use techlib::spec::InterposerKind;
 
     #[test]
     fn glass_is_more_congested_than_silicon() {
-        let gl = analyze(&cached_layout(InterposerKind::Glass25D).unwrap()).unwrap();
-        let si = analyze(&cached_layout(InterposerKind::Silicon25D).unwrap()).unwrap();
+        let gl = analyze(&test_layout(InterposerKind::Glass25D)).unwrap();
+        let si = analyze(&test_layout(InterposerKind::Silicon25D)).unwrap();
         let hot = |m: &CongestionMap| m.layers.iter().map(|l| l.hot_gcells).sum::<usize>();
         assert!(hot(&gl) > 3 * hot(&si), "{} vs {}", hot(&gl), hot(&si));
     }
 
     #[test]
     fn top_layer_carries_the_pad_blockage() {
-        let m = analyze(&cached_layout(InterposerKind::Glass25D).unwrap()).unwrap();
+        let m = analyze(&test_layout(InterposerKind::Glass25D)).unwrap();
         // Layer 0 holds every landing pad: it must show the most hot
         // gcells of any layer.
         let top = m.layers[0].hot_gcells;
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn svg_renders_only_used_cells() {
-        let m = analyze(&cached_layout(InterposerKind::Glass3D).unwrap()).unwrap();
+        let m = analyze(&test_layout(InterposerKind::Glass3D)).unwrap();
         let svg = render_layer(&m, 0, 4.0);
         assert!(svg.starts_with("<svg"));
         let rects = svg.matches("<rect").count();
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn cost_field_tracks_usage_and_witnesses_the_corridor_floor() {
-        let layout = cached_layout(InterposerKind::Glass25D).unwrap();
+        let layout = test_layout(InterposerKind::Glass25D);
         let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
         let grid = RoutingGrid::new(layout.placement.footprint_um, &spec).unwrap();
         let mut usage = base_blockage(&layout.placement, &grid);
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn utilisation_stats_are_sane() {
-        let m = analyze(&cached_layout(InterposerKind::Shinko).unwrap()).unwrap();
+        let m = analyze(&test_layout(InterposerKind::Shinko)).unwrap();
         for l in &m.layers {
             assert!(l.mean_utilisation >= 0.0);
             assert!(l.peak_utilisation >= l.mean_utilisation);

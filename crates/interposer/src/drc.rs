@@ -209,7 +209,7 @@ pub fn check(layout: &InterposerLayout) -> Result<DrcReport, RouteError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::cached_layout;
+    use crate::report::test_layout;
     use techlib::spec::InterposerKind;
 
     #[test]
@@ -220,7 +220,7 @@ mod tests {
         // rounds leave a small residue of over-capacity gcells — a known
         // limitation, bounded here at 1 % of the used gcells.
         for tech in InterposerKind::INTERPOSER_BASED {
-            let layout = cached_layout(tech).unwrap();
+            let layout = test_layout(tech);
             let report = check(&layout).unwrap();
             assert!(
                 report.connectivity_clean(),
@@ -243,7 +243,7 @@ mod tests {
             assert!(report.used_gcells > 0);
         }
         // The capacity-rich silicon interposer is fully clean.
-        let report = check(&cached_layout(InterposerKind::Silicon25D).unwrap()).unwrap();
+        let report = check(&test_layout(InterposerKind::Silicon25D)).unwrap();
         assert!(
             report.is_clean(),
             "silicon: {:?}",
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn corrupted_path_is_caught() {
-        let layout = cached_layout(InterposerKind::Glass3D).unwrap();
+        let layout = test_layout(InterposerKind::Glass3D);
         let mut bad = (*layout).clone();
         // Teleport one net's tail.
         if let Some(net) = bad.routed_nets.first_mut() {
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn bad_layer_is_caught() {
-        let layout = cached_layout(InterposerKind::Glass3D).unwrap();
+        let layout = test_layout(InterposerKind::Glass3D);
         let mut bad = (*layout).clone();
         if let Some(net) = bad.routed_nets.first_mut() {
             if net.path.len() >= 2 {

@@ -2,11 +2,9 @@
 //!
 //! [`place_and_route_with`] is the pure computation; [`layout_in`] looks
 //! the layout up in an [`ArtifactStore`] under [`layout_store_key`] and
-//! routes only on a miss (a study context passes its own store). The
-//! [`cached_layout`] shim serves the default paper configuration
-//! through [`techlib::store::process_store`] — the store the default
-//! study context also uses — so legacy entry points and the default
-//! context share one set of routed layouts instead of routing twice.
+//! routes only on a miss. The caller owns the store: a study context
+//! passes its own, so layouts live exactly as long as the context that
+//! routed them.
 
 use crate::diemap::{self, DiePlacement, NetClass};
 use crate::grid::RoutingGrid;
@@ -131,22 +129,6 @@ pub fn layout_in(
         .map(|(layout, _)| layout)
 }
 
-/// Returns the shared default-configuration layout for `tech`, computing
-/// it on first use. Shim over [`layout_in`] on
-/// [`techlib::store::process_store`] — scenario code goes through its
-/// study context's store instead.
-///
-/// # Errors
-///
-/// Same as [`place_and_route`].
-pub fn cached_layout(tech: InterposerKind) -> Result<Arc<InterposerLayout>, RouteError> {
-    layout_in(
-        &techlib::store::process_store(),
-        &InterposerSpec::for_kind(tech),
-        || {},
-    )
-}
-
 /// The node count (gcells × signal layers) of the routing grid
 /// [`place_and_route_with`] would route `spec` on: a cheap proxy for its
 /// routing cost, used to dispatch the heaviest studies first. Places
@@ -206,6 +188,15 @@ pub fn place_and_route_with(spec: &InterposerSpec) -> Result<InterposerLayout, R
     })
 }
 
+/// The paper-default layout for `tech`, routed at most once per test
+/// binary: every unit test of this crate reads one shared test store.
+#[cfg(test)]
+pub(crate) fn test_layout(tech: InterposerKind) -> Arc<InterposerLayout> {
+    static STORE: std::sync::OnceLock<ArtifactStore> = std::sync::OnceLock::new();
+    let store = STORE.get_or_init(ArtifactStore::in_memory);
+    layout_in(store, &InterposerSpec::for_kind(tech), || {}).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,9 +204,20 @@ mod tests {
     #[test]
     fn all_five_interposers_route() {
         for tech in InterposerKind::INTERPOSER_BASED {
-            let layout = cached_layout(tech).unwrap();
+            let layout = test_layout(tech);
             assert!(!layout.routed_nets.is_empty(), "{tech}");
             assert!(layout.stats.total_wl_mm > 0.0, "{tech}");
+            // Power integrity and cost read the PDN plan and the area
+            // from placement alone; both must equal the routed layout's.
+            let spec = InterposerSpec::for_kind(tech);
+            let placement = diemap::place_dies_with(&spec);
+            assert_eq!(
+                serde_json::to_string(&layout.pdn).unwrap(),
+                serde_json::to_string(&PdnPlan::generate_with(&spec, placement.footprint_um))
+                    .unwrap(),
+                "{tech}"
+            );
+            assert_eq!(layout.stats.area_mm2, placement.area_mm2(), "{tech}");
         }
     }
 
@@ -243,9 +245,9 @@ mod tests {
     fn worst_net_lengths_have_paper_ordering() {
         // Table V wirelengths: Glass 3D L2L 582 µm worst; Glass 2.5D L2M
         // 5,980 µm worst; Silicon 2.5D L2M 1,952 µm.
-        let g3 = cached_layout(InterposerKind::Glass3D).unwrap();
-        let g25 = cached_layout(InterposerKind::Glass25D).unwrap();
-        let si = cached_layout(InterposerKind::Silicon25D).unwrap();
+        let g3 = test_layout(InterposerKind::Glass3D);
+        let g25 = test_layout(InterposerKind::Glass25D);
+        let si = test_layout(InterposerKind::Silicon25D);
         let g3_l2l = g3.worst_net_um(NetClass::InterTile);
         let g3_l2m = g3.worst_net_um(NetClass::IntraTileStackedVia);
         let g25_l2m = g25.worst_net_um(NetClass::IntraTileLateral);
@@ -257,7 +259,7 @@ mod tests {
 
     #[test]
     fn doc_example_works() {
-        let layout = cached_layout(InterposerKind::Glass3D).unwrap();
+        let layout = test_layout(InterposerKind::Glass3D);
         assert_eq!(layout.routed_nets.len(), 68);
         assert!(layout.stats.total_wl_mm < 100.0);
     }

@@ -914,7 +914,7 @@ mod tests {
     use techlib::spec::{InterposerKind, InterposerSpec};
 
     fn route(tech: InterposerKind) -> (DiePlacement, Vec<RoutedNet>) {
-        let l = crate::report::cached_layout(tech).unwrap();
+        let l = crate::report::test_layout(tech);
         (l.placement.clone(), l.routed_nets.clone())
     }
 

@@ -87,7 +87,7 @@ impl RoutingStats {
 mod tests {
     use super::*;
     fn stats(tech: InterposerKind) -> RoutingStats {
-        crate::report::cached_layout(tech).unwrap().stats.clone()
+        crate::report::test_layout(tech).stats.clone()
     }
 
     #[test]
@@ -141,7 +141,7 @@ mod diag {
     #[test]
     fn print_all_stats() {
         for tech in InterposerKind::INTERPOSER_BASED {
-            let s = crate::report::cached_layout(tech).unwrap().stats.clone();
+            let s = crate::report::test_layout(tech).stats.clone();
             eprintln!(
                 "{tech}: layers {}+2 wl total {:.1} min {:.3} avg {:.3} max {:.3} vias {} area {:.2}",
                 s.signal_layers_used, s.total_wl_mm, s.min_wl_mm, s.avg_wl_mm, s.max_wl_mm,

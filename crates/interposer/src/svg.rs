@@ -120,12 +120,12 @@ pub fn render(layout: &InterposerLayout, options: &SvgOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::cached_layout;
+    use crate::report::test_layout;
     use techlib::spec::InterposerKind;
 
     #[test]
     fn renders_glass_3d_layout() {
-        let layout = cached_layout(InterposerKind::Glass3D).unwrap();
+        let layout = test_layout(InterposerKind::Glass3D);
         let svg = render(&layout, &SvgOptions::default());
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn options_disable_layers() {
-        let layout = cached_layout(InterposerKind::Glass3D).unwrap();
+        let layout = test_layout(InterposerKind::Glass3D);
         let svg = render(
             &layout,
             &SvgOptions {
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn svg_size_tracks_footprint() {
-        let layout = cached_layout(InterposerKind::Glass3D).unwrap();
+        let layout = test_layout(InterposerKind::Glass3D);
         let svg = render(&layout, &SvgOptions::default());
         // 1.84 mm × 200 px/mm = 368 px wide.
         assert!(svg.contains(r##"width="368""##), "{}", &svg[..120]);

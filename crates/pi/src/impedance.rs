@@ -1,9 +1,9 @@
 //! PDN impedance profiles (Fig. 15) and the Table IV impedance figure.
 
-use crate::pdn_model::{impedance_at, PdnCircuit};
+use crate::pdn_model::{impedance_at, Excitation, PdnCircuit};
 use circuit::CircuitError;
 use serde::Serialize;
-use techlib::spec::InterposerKind;
+use techlib::spec::{InterposerKind, InterposerSpec};
 
 /// Frequency range of the paper's sweep: 10⁶–10⁹ Hz.
 pub const F_START_HZ: f64 = 1e6;
@@ -20,21 +20,23 @@ pub struct ImpedanceProfile {
 }
 
 impl ImpedanceProfile {
-    /// Sweeps the PDN of `tech` over the paper's range.
+    /// Sweeps the PDN of `spec` over the paper's range.
     ///
     /// # Errors
     ///
-    /// Propagates layout and solver failures.
-    pub fn sweep(tech: InterposerKind, points: usize) -> Result<ImpedanceProfile, CircuitError> {
-        let model = PdnCircuit::for_tech(tech)
-            .map_err(|_| CircuitError::InvalidParameter { parameter: "tech" })?;
+    /// Propagates solver failures.
+    pub fn sweep(spec: &InterposerSpec, points: usize) -> Result<ImpedanceProfile, CircuitError> {
+        let model = PdnCircuit::build(spec, Excitation::AcProbe);
         let ratio = (F_STOP_HZ / F_START_HZ).ln();
         let mut out = Vec::with_capacity(points);
         for i in 0..points {
             let f = F_START_HZ * (ratio * i as f64 / (points - 1) as f64).exp();
             out.push((f, impedance_at(&model, f)?));
         }
-        Ok(ImpedanceProfile { tech, points: out })
+        Ok(ImpedanceProfile {
+            tech: spec.kind,
+            points: out,
+        })
     }
 
     /// Peak impedance over the sweep, Ω — the Table IV "PDN impedance".
@@ -52,15 +54,19 @@ impl ImpedanceProfile {
     }
 }
 
-/// Sweeps all six packaged technologies (the Fig. 15 family).
+/// Sweeps every spec in `specs` (the six packaged technologies make the
+/// Fig. 15 family).
 ///
 /// # Errors
 ///
 /// Propagates per-technology failures.
-pub fn figure15(points: usize) -> Result<Vec<ImpedanceProfile>, CircuitError> {
-    InterposerKind::PACKAGED
+pub fn figure15(
+    specs: &[InterposerSpec],
+    points: usize,
+) -> Result<Vec<ImpedanceProfile>, CircuitError> {
+    specs
         .iter()
-        .map(|&tech| ImpedanceProfile::sweep(tech, points))
+        .map(|spec| ImpedanceProfile::sweep(spec, points))
         .collect()
 }
 
@@ -68,8 +74,12 @@ pub fn figure15(points: usize) -> Result<Vec<ImpedanceProfile>, CircuitError> {
 mod tests {
     use super::*;
 
+    fn paper_sweep(tech: InterposerKind, points: usize) -> ImpedanceProfile {
+        ImpedanceProfile::sweep(&InterposerSpec::for_kind(tech), points).unwrap()
+    }
+
     fn peak(tech: InterposerKind) -> f64 {
-        ImpedanceProfile::sweep(tech, 61).unwrap().peak_ohm()
+        paper_sweep(tech, 61).peak_ohm()
     }
 
     #[test]
@@ -112,16 +122,29 @@ mod tests {
 
     #[test]
     fn low_frequency_impedance_is_resistive_milliohms() {
-        let p = ImpedanceProfile::sweep(InterposerKind::Glass25D, 31).unwrap();
+        let p = paper_sweep(InterposerKind::Glass25D, 31);
         // At 1 MHz the bulk cap and VRM dominate: well below 1 Ω.
         assert!(p.at(1e6) < 1.0, "{}", p.at(1e6));
     }
 
     #[test]
     fn profile_is_log_spaced_over_the_paper_range() {
-        let p = ImpedanceProfile::sweep(InterposerKind::Apx, 31).unwrap();
+        let p = paper_sweep(InterposerKind::Apx, 31);
         assert_eq!(p.points.len(), 31);
         assert!((p.points[0].0 - 1e6).abs() < 1.0);
         assert!((p.points[30].0 - 1e9).abs() / 1e9 < 1e-9);
+    }
+
+    #[test]
+    fn dielectric_constant_override_changes_the_profile() {
+        // The PDN follows the spec it is given, not the paper default:
+        // a denser dielectric raises the plane-pair capacitance.
+        let paper = InterposerSpec::for_kind(InterposerKind::Glass25D);
+        let mut denser = paper.clone();
+        denser.dielectric_constant *= 2.0;
+        let a = ImpedanceProfile::sweep(&paper, 31).unwrap();
+        let b = ImpedanceProfile::sweep(&denser, 31).unwrap();
+        assert_eq!(a.tech, b.tech);
+        assert_ne!(a.points, b.points);
     }
 }

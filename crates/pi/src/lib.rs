@@ -20,8 +20,8 @@ pub use transient::TransientReport;
 mod tests {
     #[test]
     fn modules_are_wired() {
-        let m = crate::pdn_model::PdnCircuit::for_tech(techlib::spec::InterposerKind::Glass3D)
-            .expect("glass 3D PDN builds");
+        let spec = techlib::spec::InterposerSpec::for_kind(techlib::spec::InterposerKind::Glass3D);
+        let m = crate::pdn_model::PdnCircuit::build(&spec, crate::pdn_model::Excitation::AcProbe);
         assert!(m.die_load_a() > 0.0);
     }
 }

@@ -19,12 +19,12 @@
 
 use circuit::netlist::{Circuit, NodeId, Waveform};
 use circuit::CircuitError;
+use interposer::diemap;
 use interposer::pdn::PdnPlan;
-use interposer::report::cached_layout;
 use serde::Serialize;
 use techlib::bump::BumpModel;
 use techlib::calib;
-use techlib::spec::{InterposerKind, InterposerSpec};
+use techlib::spec::{InterposerKind, InterposerSpec, Stacking};
 
 /// VRM series resistance, Ω.
 pub const VRM_R_OHM: f64 = 0.25;
@@ -98,25 +98,20 @@ pub enum Excitation {
 }
 
 impl PdnCircuit {
-    /// Builds the PDN for `tech` with the chosen excitation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors when the interposer layout is needed and
-    /// unavailable.
-    pub fn build(
-        tech: InterposerKind,
-        excitation: Excitation,
-    ) -> Result<PdnCircuit, interposer::RouteError> {
-        let spec = InterposerSpec::for_kind(tech);
-        let plan = match tech {
-            InterposerKind::Silicon3D => {
-                // No interposer: power enters the stack through the base
-                // die's TSV field. Model the plan directly.
-                PdnPlan::generate(tech, (940.0, 940.0))
+    /// Builds the PDN for `spec` with the chosen excitation. The plan
+    /// needs only die placement: it is the same [`PdnPlan`] that
+    /// [`interposer::report::place_and_route_with`] attaches to the
+    /// routed layout, so nothing is routed here.
+    pub fn build(spec: &InterposerSpec, excitation: Excitation) -> PdnCircuit {
+        let tech = spec.kind;
+        let plan = match spec.stacking {
+            // No interposer: power enters the stack through the base
+            // die's TSV field. Model the plan directly.
+            Stacking::TsvStack => PdnPlan::generate_with(spec, (940.0, 940.0)),
+            Stacking::Monolithic => PdnPlan::generate_with(spec, (1600.0, 1600.0)),
+            Stacking::SideBySide | Stacking::Embedded => {
+                PdnPlan::generate_with(spec, diemap::place_dies_with(spec).footprint_um)
             }
-            InterposerKind::Monolithic2D => PdnPlan::generate(tech, (1600.0, 1600.0)),
-            _ => cached_layout(tech)?.pdn.clone(),
         };
         // Total chiplet current: 2 × (logic + memory) at VDD.
         let die_load_a = 2.0 * (142e-3 + 46e-3) / calib::VDD;
@@ -161,7 +156,7 @@ impl PdnCircuit {
         c.resistor(
             plane_far,
             die,
-            plan.plane_sheet_resistance().max(1e-5) * plane_squares(tech) + bump_field_r(&spec),
+            plan.plane_sheet_resistance().max(1e-5) * plane_squares(tech) + bump_field_r(spec),
         );
 
         // Die decap with ESR.
@@ -196,22 +191,13 @@ impl PdnCircuit {
             }
         }
 
-        Ok(PdnCircuit {
+        PdnCircuit {
             circuit: c,
             die_node: die,
             vrm_source,
             tech,
             die_load_a,
-        })
-    }
-
-    /// Convenience: the impedance-probe build.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PdnCircuit::build`].
-    pub fn for_tech(tech: InterposerKind) -> Result<PdnCircuit, interposer::RouteError> {
-        PdnCircuit::build(tech, Excitation::AcProbe)
+        }
     }
 
     /// Total die current at full activity, A.
@@ -244,17 +230,21 @@ pub fn impedance_at(model: &PdnCircuit, freq_hz: f64) -> Result<f64, CircuitErro
 mod tests {
     use super::*;
 
+    fn probe(tech: InterposerKind) -> PdnCircuit {
+        PdnCircuit::build(&InterposerSpec::for_kind(tech), Excitation::AcProbe)
+    }
+
     #[test]
     fn all_technologies_build() {
         for tech in InterposerKind::PACKAGED {
-            let m = PdnCircuit::for_tech(tech).unwrap();
+            let m = probe(tech);
             assert!(m.circuit.node_count() > 5, "{tech}");
         }
     }
 
     #[test]
     fn impedance_is_positive_and_finite() {
-        let m = PdnCircuit::for_tech(InterposerKind::Glass25D).unwrap();
+        let m = probe(InterposerKind::Glass25D);
         for f in [1e6, 1e7, 1e8, 1e9] {
             let z = impedance_at(&m, f).unwrap();
             assert!(z > 0.0 && z.is_finite(), "f = {f}: z = {z}");
@@ -285,7 +275,7 @@ mod tests {
         // Ablation: without the on-die decap, the die node would see the
         // raw escape inductance at high frequency; the ladder must stay
         // well below that bound.
-        let full = PdnCircuit::for_tech(InterposerKind::Glass25D).unwrap();
+        let full = probe(InterposerKind::Glass25D);
         let z_with = impedance_at(&full, 4e8).unwrap();
         let l = escape_inductance_h(InterposerKind::Glass25D);
         let z_bare = 2.0 * std::f64::consts::PI * 4e8 * l;
@@ -294,7 +284,7 @@ mod tests {
 
     #[test]
     fn die_load_matches_chiplet_budget() {
-        let m = PdnCircuit::for_tech(InterposerKind::Glass3D).unwrap();
+        let m = probe(InterposerKind::Glass3D);
         // 2 × (142 + 46) mW at 0.9 V ≈ 0.42 A.
         assert!((m.die_load_a() - 0.417).abs() < 0.01);
     }

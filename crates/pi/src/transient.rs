@@ -10,7 +10,7 @@ use circuit::tran::{simulate, TranConfig};
 use circuit::CircuitError;
 use serde::Serialize;
 use techlib::calib;
-use techlib::spec::InterposerKind;
+use techlib::spec::{InterposerKind, InterposerSpec};
 
 /// Settling criterion: cycle-mean within this many volts of final.
 pub const SETTLE_BAND_V: f64 = 2e-3;
@@ -28,15 +28,14 @@ pub struct TransientReport {
     pub settling_us: f64,
 }
 
-/// Runs the DC and 125 MHz transient analyses for `tech`.
+/// Runs the DC and 125 MHz transient analyses for `spec`.
 ///
 /// # Errors
 ///
-/// Propagates layout and solver failures.
-pub fn analyze(tech: InterposerKind) -> Result<TransientReport, CircuitError> {
+/// Propagates solver failures.
+pub fn analyze(spec: &InterposerSpec) -> Result<TransientReport, CircuitError> {
     // DC IR drop.
-    let dc_model = PdnCircuit::build(tech, Excitation::DcLoad)
-        .map_err(|_| CircuitError::InvalidParameter { parameter: "tech" })?;
+    let dc_model = PdnCircuit::build(spec, Excitation::DcLoad);
     let dc = circuit::dc::solve(&dc_model.circuit)?;
     let v_die = dc.voltage(dc_model.die_node);
     // Package-only drop: exclude the VRM's own regulation resistance,
@@ -46,8 +45,7 @@ pub fn analyze(tech: InterposerKind) -> Result<TransientReport, CircuitError> {
         .max(0.0);
 
     // 125 MHz switching transient.
-    let tr_model = PdnCircuit::build(tech, Excitation::SwitchingLoad)
-        .map_err(|_| CircuitError::InvalidParameter { parameter: "tech" })?;
+    let tr_model = PdnCircuit::build(spec, Excitation::SwitchingLoad);
     let result = simulate(
         &tr_model.circuit,
         &TranConfig {
@@ -84,7 +82,7 @@ pub fn analyze(tech: InterposerKind) -> Result<TransientReport, CircuitError> {
     let settling_us = times[(settle_idx * per).min(times.len() - 1)] * 1e6;
 
     Ok(TransientReport {
-        tech,
+        tech: spec.kind,
         ir_drop_mv,
         worst_droop_mv,
         settling_us,
@@ -94,6 +92,10 @@ pub fn analyze(tech: InterposerKind) -> Result<TransientReport, CircuitError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn analyze(tech: InterposerKind) -> Result<TransientReport, CircuitError> {
+        super::analyze(&InterposerSpec::for_kind(tech))
+    }
 
     #[test]
     fn ir_drop_is_in_table4_range() {

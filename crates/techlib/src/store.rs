@@ -12,9 +12,9 @@
 //!
 //! Every study context owns a handle to a store, so every cached
 //! artifact of the flow lives here and nowhere else: a batch shares one
-//! store between its clean scenarios, a standalone context gets a
-//! private one, and the paper-default context shares
-//! [`process_store`] with the legacy per-crate shims.
+//! store between its clean scenarios, and a standalone context gets a
+//! private one. There is no process-wide store: whoever builds a
+//! context decides how long its artifacts live.
 //!
 //! Two tiers:
 //!
@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable the `codesign` CLI reads as a default on-disk
 /// cache directory (equivalent to passing `--cache-dir <path>`).
@@ -497,16 +497,6 @@ impl std::fmt::Debug for ArtifactStore {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
-}
-
-/// The process-wide in-memory store behind the paper-default study
-/// context and the legacy per-crate shims
-/// (`interposer::report::cached_layout`, `thermal::report::analyze_tech`):
-/// they all look artifacts up under the same stage keys here, so the
-/// old entry points and the default context never compute one twice.
-pub fn process_store() -> Arc<ArtifactStore> {
-    static STORE: OnceLock<Arc<ArtifactStore>> = OnceLock::new();
-    Arc::clone(STORE.get_or_init(|| Arc::new(ArtifactStore::in_memory())))
 }
 
 /// Writes `text` to `path` via a sibling temp file and an atomic rename,

@@ -14,10 +14,10 @@
 //! # Example
 //!
 //! ```
-//! use thermal::report::analyze_tech;
-//! use techlib::spec::InterposerKind;
+//! use thermal::report::analyze_with;
+//! use techlib::spec::{InterposerKind, InterposerSpec};
 //!
-//! let r = analyze_tech(InterposerKind::Glass3D)?;
+//! let r = analyze_with(&InterposerSpec::for_kind(InterposerKind::Glass3D))?;
 //! // The embedded memory die is the hottest spot in the study (Fig. 17).
 //! assert!(r.mem_peak_c > r.logic_peak_c);
 //! # Ok::<(), thermal::ThermalError>(())

@@ -122,23 +122,6 @@ pub fn analyze_in(
         .map(|(report, _)| report)
 }
 
-/// Solves and reports one paper-default technology through
-/// [`techlib::store::process_store`], the store the default study
-/// context also uses. Scenario code goes through its study context's
-/// store instead.
-///
-/// # Errors
-///
-/// Same as [`analyze_in`].
-pub fn analyze_tech(tech: InterposerKind) -> Result<ThermalReport, ThermalError> {
-    analyze_in(
-        &techlib::store::process_store(),
-        &InterposerSpec::for_kind(tech),
-        || {},
-    )
-    .map(|r| (*r).clone())
-}
-
 /// The full Fig. 17 family (all six packaged assemblies).
 ///
 /// # Errors
@@ -154,8 +137,17 @@ pub fn figure17() -> Result<Vec<ThermalReport>, ThermalError> {
         InterposerKind::Apx,
     ]
     .iter()
-    .map(|&t| analyze_tech(t))
+    .map(|&t| analyze_with(&InterposerSpec::for_kind(t)))
     .collect()
+}
+
+/// The paper-default report for `tech`, solved at most once per test
+/// binary: every unit test of this crate reads one shared test store.
+#[cfg(test)]
+fn test_report(tech: InterposerKind) -> Arc<ThermalReport> {
+    static STORE: std::sync::OnceLock<ArtifactStore> = std::sync::OnceLock::new();
+    let store = STORE.get_or_init(ArtifactStore::in_memory);
+    analyze_in(store, &InterposerSpec::for_kind(tech), || {}).unwrap()
 }
 
 #[cfg(test)]
@@ -166,14 +158,14 @@ mod tests {
     #[test]
     fn glass3d_memory_is_the_hottest_chiplet_of_the_study() {
         // Fig. 17: embedded memory at 34 °C versus 22–23 °C elsewhere.
-        let g3 = analyze_tech(InterposerKind::Glass3D).unwrap();
+        let g3 = test_report(InterposerKind::Glass3D);
         for other in [
             InterposerKind::Glass25D,
             InterposerKind::Silicon25D,
             InterposerKind::Shinko,
             InterposerKind::Apx,
         ] {
-            let r = analyze_tech(other).unwrap();
+            let r = test_report(other);
             assert!(
                 g3.mem_peak_c > r.mem_peak_c,
                 "{other}: {} vs {}",
@@ -185,7 +177,7 @@ mod tests {
 
     #[test]
     fn glass3d_temperatures_match_fig17_scale() {
-        let g3 = analyze_tech(InterposerKind::Glass3D).unwrap();
+        let g3 = test_report(InterposerKind::Glass3D);
         // Paper: memory 34 °C, logic 27 °C at 20 °C-class ambient.
         assert!(
             (28.0..42.0).contains(&g3.mem_peak_c),
@@ -208,7 +200,7 @@ mod tests {
             InterposerKind::Shinko,
             InterposerKind::Apx,
         ] {
-            let r = analyze_tech(tech).unwrap();
+            let r = test_report(tech);
             assert!(
                 (23.0..33.0).contains(&r.logic_peak_c),
                 "{tech}: logic = {}",
@@ -222,7 +214,7 @@ mod tests {
     fn non_glass3d_memory_stays_cool() {
         // Fig. 17: 22–23 °C for side-by-side memory chiplets.
         for tech in [InterposerKind::Silicon25D, InterposerKind::Shinko] {
-            let r = analyze_tech(tech).unwrap();
+            let r = test_report(tech);
             assert!(
                 (AMBIENT_C + 1.0..AMBIENT_C + 7.0).contains(&r.mem_peak_c),
                 "{tech}: mem = {}",
@@ -235,8 +227,8 @@ mod tests {
     fn si3d_stack_runs_hotter_than_si25d() {
         // The conclusion's trade-off: Silicon 3D "suffers from higher
         // thermal dissipation".
-        let s3 = analyze_tech(InterposerKind::Silicon3D).unwrap();
-        let s25 = analyze_tech(InterposerKind::Silicon25D).unwrap();
+        let s3 = test_report(InterposerKind::Silicon3D);
+        let s25 = test_report(InterposerKind::Silicon25D);
         assert!(s3.assembly_peak_c > s25.assembly_peak_c);
     }
 
@@ -244,8 +236,8 @@ mod tests {
     fn silicon_interposer_spreads_heat_best_among_25d() {
         // Fig. 18: silicon's hotspots merge and flatten; glass traps heat
         // under the chiplets.
-        let si = analyze_tech(InterposerKind::Silicon25D).unwrap();
-        let gl = analyze_tech(InterposerKind::Glass25D).unwrap();
+        let si = test_report(InterposerKind::Silicon25D);
+        let gl = test_report(InterposerKind::Glass25D);
         assert!(si.assembly_peak_c < gl.assembly_peak_c);
     }
 }
@@ -255,7 +247,8 @@ mod diag {
     use super::*;
     #[test]
     fn print_all_temps() {
-        for r in figure17().unwrap() {
+        for tech in InterposerKind::PACKAGED {
+            let r = test_report(tech);
             eprintln!(
                 "{:<14} logic {:>6.2} mem {:>6.2} assembly {:>6.2}",
                 r.tech.label(),

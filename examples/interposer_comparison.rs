@@ -4,18 +4,20 @@
 //! cargo run --release --example interposer_comparison
 //! ```
 
-use codesign::flow::run_all;
+use codesign::flow::run_all_in;
 use codesign::table5::MonitorLengths;
 use codesign::tables;
+use codesign::StudyContext;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", tables::table1());
-    let studies = run_all(MonitorLengths::Routed)?;
+    let ctx = StudyContext::paper();
+    let studies = run_all_in(&ctx, MonitorLengths::Routed)?;
     println!("{}", tables::table2(&studies));
     println!("{}", tables::table3(&studies));
     println!("{}", tables::table4(&studies));
 
-    let headline = codesign::compare::headline()?;
+    let headline = codesign::compare::headline(&ctx)?;
     println!("Headline (abstract claims, measured):");
     println!(
         "  area reduction        {:.2}x   (paper: 2.6x)",

@@ -7,7 +7,7 @@
 
 use pi::impedance::ImpedanceProfile;
 use pi::transient;
-use techlib::spec::InterposerKind;
+use techlib::spec::{InterposerKind, InterposerSpec};
 use thermal::report::figure17;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tech", "1 MHz", "10 MHz", "100 MHz", "1 GHz", "peak Ω"
     );
     for tech in InterposerKind::PACKAGED {
-        let p = ImpedanceProfile::sweep(tech, 61)?;
+        let p = ImpedanceProfile::sweep(&InterposerSpec::for_kind(tech), 61)?;
         println!(
             "{:<14}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>12.2}",
             tech.label(),
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tech", "IR drop mV", "droop mV", "settling µs"
     );
     for tech in InterposerKind::PACKAGED {
-        let r = transient::analyze(tech)?;
+        let r = transient::analyze(&InterposerSpec::for_kind(tech))?;
         println!(
             "{:<14}{:>12.1}{:>12.1}{:>14.2}",
             tech.label(),

@@ -6,11 +6,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use codesign::flow::run_tech;
+use codesign::flow::run_tech_in;
+use codesign::table5::MonitorLengths;
+use codesign::StudyContext;
 use techlib::spec::InterposerKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let study = run_tech(InterposerKind::Glass3D)?;
+    let ctx = StudyContext::paper();
+    let study = run_tech_in(&ctx, InterposerKind::Glass3D, MonitorLengths::Routed)?;
 
     println!("=== Glass 3D (5.5D) co-design study ===\n");
     println!("Chiplets (Table III):");

@@ -7,17 +7,24 @@
 
 use codesign::table5::{table5, MonitorLengths};
 use codesign::tables;
+use codesign::StudyContext;
 use interposer::diemap::NetClass;
-use interposer::report::cached_layout;
 use si::eye::{lateral_eye, stacked_via_eye, EyeConfig};
 use techlib::spec::InterposerKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = StudyContext::paper();
     println!("--- Table V with the paper's monitored net lengths ---");
-    println!("{}", tables::table5_text(&table5(MonitorLengths::Paper)?));
+    println!(
+        "{}",
+        tables::table5_text(&table5(&ctx, MonitorLengths::Paper)?)
+    );
 
     println!("--- Table V with our own routed worst nets ---");
-    println!("{}", tables::table5_text(&table5(MonitorLengths::Routed)?));
+    println!(
+        "{}",
+        tables::table5_text(&table5(&ctx, MonitorLengths::Routed)?)
+    );
 
     println!("--- Fig. 14: eye diagrams (0.7 Gbps PRBS-7, 2 aggressors) ---");
     let cfg = EyeConfig::default();
@@ -36,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         InterposerKind::Shinko,
         InterposerKind::Apx,
     ] {
-        let layout = cached_layout(tech)?;
+        let layout = ctx.layout(tech)?;
         let l2m = layout.worst_net_um(NetClass::IntraTileLateral);
         let eye = lateral_eye(tech, l2m, &cfg)?;
         println!(
@@ -56,7 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eye.height_v
         );
     }
-    let g3_l2l = cached_layout(InterposerKind::Glass3D)?.worst_net_um(NetClass::InterTile);
+    let g3_l2l = ctx
+        .layout(InterposerKind::Glass3D)?
+        .worst_net_um(NetClass::InterTile);
     let eye = lateral_eye(InterposerKind::Glass3D, g3_l2l, &cfg)?;
     println!(
         "{:<14}{:>8}{:>12.3}{:>12.3}",

@@ -250,8 +250,13 @@ fn injected_fault_stays_inside_its_scenario() {
     }
     // The scoped arming never leaked to this thread or the process.
     assert!(!techlib::faults::armed("si.link"));
-    // And the shared default context is unaffected by the whole batch.
-    codesign::run_tech(InterposerKind::Glass3D).expect("default path still clean");
+    // And a fresh paper context is unaffected by the whole batch.
+    codesign::flow::run_tech_in(
+        &StudyContext::paper(),
+        InterposerKind::Glass3D,
+        MonitorLengths::Routed,
+    )
+    .expect("paper path still clean");
 }
 
 /// The `sweep_variants` shape: Glass 3D, Silicon 2.5D and Silicon 3D,

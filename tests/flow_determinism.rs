@@ -3,10 +3,18 @@
 //! reference, for any worker count and any task-duration skew.
 
 use codesign::context::StudyContext;
-use codesign::flow::{run_all, run_all_in, run_all_sequential, run_tech_in, TechStudy};
+use codesign::flow::{run_all_in, run_all_sequential, run_tech_in, TechStudy};
 use codesign::table5::{table5, MonitorLengths};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use techlib::spec::InterposerKind;
+
+/// The paper context the untraced tests of this binary share, so each
+/// technology is routed and solved once across them.
+fn shared() -> &'static StudyContext {
+    static CTX: OnceLock<StudyContext> = OnceLock::new();
+    CTX.get_or_init(StudyContext::paper)
+}
 
 /// The whole six-technology study, parallel vs sequential, serialized.
 ///
@@ -17,8 +25,9 @@ use techlib::spec::InterposerKind;
 #[test]
 fn parallel_run_all_serializes_byte_identically_to_sequential() {
     std::env::set_var(techlib::par::THREADS_ENV, "3");
-    let par = run_all(MonitorLengths::Routed).expect("parallel flow completes");
-    let seq = run_all_sequential(MonitorLengths::Routed).expect("sequential flow completes");
+    let par = run_all_in(shared(), MonitorLengths::Routed).expect("parallel flow completes");
+    let seq =
+        run_all_sequential(shared(), MonitorLengths::Routed).expect("sequential flow completes");
     let par_json = serde_json::to_string(&par).expect("serializes");
     let seq_json = serde_json::to_string(&seq).expect("serializes");
     assert!(
@@ -29,10 +38,10 @@ fn parallel_run_all_serializes_byte_identically_to_sequential() {
 
     // Table V assembled by the same fan-out helper must match the
     // per-row sequential assembly too.
-    let t5 = table5(MonitorLengths::Routed).expect("table 5 completes");
+    let t5 = table5(shared(), MonitorLengths::Routed).expect("table 5 completes");
     let rows: Result<Vec<_>, _> = techlib::spec::InterposerKind::PACKAGED
         .iter()
-        .map(|&tech| codesign::table5::row(tech, MonitorLengths::Routed))
+        .map(|&tech| codesign::table5::row_in(shared(), tech, MonitorLengths::Routed))
         .collect();
     assert!(
         serde_json::to_string(&t5).unwrap() == serde_json::to_string(&rows.unwrap()).unwrap(),
@@ -46,7 +55,7 @@ fn parallel_run_all_serializes_byte_identically_to_sequential() {
 /// emitted trace is valid Chrome trace-event JSON carrying one span per
 /// flow stage per scenario plus the kernel work counters.
 ///
-/// Both runs use **private** contexts (not the shared default) so the
+/// Both runs use **private** contexts (not the shared one) so the
 /// traced run is genuinely cold and every kernel counter must fire.
 #[test]
 fn traced_parallel_flow_is_byte_identical_and_emits_a_valid_trace() {
@@ -184,7 +193,7 @@ fn heaviest_first_run_all_in_serializes_byte_identically_to_sequential() {
         "dispatch must reorder the techs for this test to mean anything: {weights:?}"
     );
     let dispatched = run_all_in(&ctx, MonitorLengths::Routed).expect("flow completes");
-    let sequential = run_all_sequential(MonitorLengths::Routed).expect("flow completes");
+    let sequential = run_all_sequential(shared(), MonitorLengths::Routed).expect("flow completes");
     let techs: Vec<InterposerKind> = dispatched.iter().map(|s| s.tech).collect();
     assert_eq!(techs, InterposerKind::PACKAGED.to_vec());
     assert!(

@@ -4,7 +4,7 @@
 //! stage boundaries plus the two numeric kernels) this binary proves the
 //! tentpole contract:
 //!
-//! 1. arming the site makes [`run_all`] return a **typed** `FlowError`
+//! 1. arming the site makes [`run_all_in`] return a **typed** `FlowError`
 //!    (no panic, no abort), and the parallel error is exactly the error
 //!    the sequential reference reports (first failing input in
 //!    `PACKAGED` order);
@@ -15,9 +15,9 @@
 //! state, so the scenarios must not interleave with each other (separate
 //! test *binaries* are fine — faults do not cross processes).
 
-use codesign::flow::{run_all, run_all_sequential, run_tech};
+use codesign::flow::{run_all_in, run_all_sequential, run_tech_in};
 use codesign::table5::MonitorLengths;
-use codesign::{default_context, FlowError};
+use codesign::{FlowError, StudyContext};
 use techlib::faults;
 use techlib::spec::InterposerKind;
 
@@ -45,23 +45,25 @@ fn expected(site: &str, err: &FlowError) -> bool {
 
 #[test]
 fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
-    let baseline = serde_json::to_string(&run_all(MonitorLengths::Routed).unwrap()).unwrap();
+    let ctx = StudyContext::paper();
+    let baseline =
+        serde_json::to_string(&run_all_in(&ctx, MonitorLengths::Routed).unwrap()).unwrap();
 
     for &site in faults::SITES {
-        // Clear the default context's store so sites that live *inside*
+        // Clear the context's store so sites that live *inside*
         // stored computations (partitioning, routing, chiplet placement,
         // the SOR loop) are actually reached instead of short-circuited
         // by a store hit.
-        default_context().store().clear();
+        ctx.store().clear();
         let guard = faults::site(site).arm();
 
-        let par = run_all(MonitorLengths::Routed)
+        let par = run_all_in(&ctx, MonitorLengths::Routed)
             .expect_err(&format!("{site}: armed fault must fail the flow"));
         assert!(expected(site, &par), "{site}: wrong error {par:?}");
 
         // Error determinism: the parallel fan-out reports the same error
         // the sequential loop does, for the same (first) failing input.
-        let seq = run_all_sequential(MonitorLengths::Routed)
+        let seq = run_all_sequential(&ctx, MonitorLengths::Routed)
             .expect_err(&format!("{site}: sequential reference must fail too"));
         assert_eq!(par, seq, "{site}: parallel error diverges from sequential");
 
@@ -71,21 +73,21 @@ fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
     // A routing fault is scoped to technologies that route an interposer:
     // the Silicon 3D study (TSV stack, no lateral routing) still
     // completes while `router.escape` is armed.
-    default_context().store().clear();
+    ctx.store().clear();
     {
         let _guard = faults::site("router.escape").arm();
-        let study = run_tech(InterposerKind::Silicon3D)
+        let study = run_tech_in(&ctx, InterposerKind::Silicon3D, MonitorLengths::Routed)
             .expect("Silicon 3D does not route, so the router fault must not reach it");
         assert!(study.routing.is_none());
         assert!(
-            run_tech(InterposerKind::Glass25D).is_err(),
+            run_tech_in(&ctx, InterposerKind::Glass25D, MonitorLengths::Routed).is_err(),
             "routed technologies must see the armed router fault"
         );
     }
 
     // No poisoning: every failure above was returned, not memoized, so a
     // clean rerun reproduces the baseline byte for byte.
-    default_context().store().clear();
-    let rerun = serde_json::to_string(&run_all(MonitorLengths::Routed).unwrap()).unwrap();
+    ctx.store().clear();
+    let rerun = serde_json::to_string(&run_all_in(&ctx, MonitorLengths::Routed).unwrap()).unwrap();
     assert_eq!(baseline, rerun, "a failed run left stale cached state");
 }

@@ -7,14 +7,14 @@
 //! leak into any other test.
 
 use codesign::table5::MonitorLengths;
-use codesign::FlowError;
+use codesign::{FlowError, StudyContext};
 
 #[test]
 fn garbage_codesign_threads_is_a_typed_flow_error() {
     std::env::set_var(techlib::par::THREADS_ENV, "four");
 
-    let err = codesign::flow::run_all(MonitorLengths::Routed)
-        .expect_err("run_all must reject a malformed CODESIGN_THREADS");
+    let err = codesign::flow::run_all_in(&StudyContext::paper(), MonitorLengths::Routed)
+        .expect_err("run_all_in must reject a malformed CODESIGN_THREADS");
     assert!(
         matches!(err, FlowError::InvalidConfig { .. }),
         "wrong error: {err:?}"

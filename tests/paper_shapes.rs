@@ -4,14 +4,24 @@
 //! with the substrate.
 
 use codesign::compare::headline;
-use codesign::flow::run_all;
+use codesign::flow::{run_all_in, TechStudy};
 use codesign::table5::MonitorLengths;
+use codesign::StudyContext;
+use std::sync::OnceLock;
 use techlib::spec::InterposerKind;
 
-fn study(
-    studies: &[codesign::flow::TechStudy],
-    tech: InterposerKind,
-) -> &codesign::flow::TechStudy {
+/// One paper context for the whole binary: each technology is routed
+/// and solved once, however many shapes read it.
+fn ctx() -> &'static StudyContext {
+    static CTX: OnceLock<StudyContext> = OnceLock::new();
+    CTX.get_or_init(StudyContext::paper)
+}
+
+fn paper_studies() -> Vec<TechStudy> {
+    run_all_in(ctx(), MonitorLengths::Paper).expect("flow completes")
+}
+
+fn study(studies: &[TechStudy], tech: InterposerKind) -> &TechStudy {
     studies
         .iter()
         .find(|s| s.tech == tech)
@@ -20,7 +30,7 @@ fn study(
 
 #[test]
 fn abstract_headline_claims_hold() {
-    let h = headline().expect("headline computes");
+    let h = headline(ctx()).expect("headline computes");
     assert!(
         (2.0..3.2).contains(&h.area_reduction_x),
         "area {:.2}x (paper 2.6x)",
@@ -55,7 +65,7 @@ fn abstract_headline_claims_hold() {
 
 #[test]
 fn table2_area_shape() {
-    let studies = run_all(MonitorLengths::Paper).expect("flow completes");
+    let studies = paper_studies();
     // Glass chiplets smallest, APX largest, Silicon/Shinko in between.
     let glass = study(&studies, InterposerKind::Glass25D)
         .logic
@@ -76,7 +86,7 @@ fn table2_area_shape() {
 
 #[test]
 fn table3_power_uniformity_and_si3d_advantage() {
-    let studies = run_all(MonitorLengths::Paper).expect("flow completes");
+    let studies = paper_studies();
     // "Power consumption across all chiplets demonstrates uniformity":
     // every logic chiplet within ±7 % of the glass one.
     let reference = study(&studies, InterposerKind::Glass25D)
@@ -104,7 +114,7 @@ fn table3_power_uniformity_and_si3d_advantage() {
 
 #[test]
 fn table4_routing_shape() {
-    let studies = run_all(MonitorLengths::Paper).expect("flow completes");
+    let studies = paper_studies();
     let g3 = study(&studies, InterposerKind::Glass3D)
         .routing
         .clone()
@@ -143,7 +153,7 @@ fn table4_routing_shape() {
 
 #[test]
 fn table5_delay_shape() {
-    let studies = run_all(MonitorLengths::Paper).expect("flow completes");
+    let studies = paper_studies();
     let d_l2m = |t| study(&studies, t).links.l2m.interconnect_delay_ps;
     let d_l2l = |t| study(&studies, t).links.l2l.interconnect_delay_ps;
     // L2M: Si3D < Glass3D < every lateral link; Si2.5D < APX.
@@ -171,7 +181,7 @@ fn table5_delay_shape() {
 
 #[test]
 fn fig17_thermal_shape() {
-    let studies = run_all(MonitorLengths::Paper).expect("flow completes");
+    let studies = paper_studies();
     let g3 = study(&studies, InterposerKind::Glass3D);
     // The embedded memory die is the hottest chiplet of the study...
     for s in &studies {
@@ -189,7 +199,7 @@ fn fig17_thermal_shape() {
 
 #[test]
 fn conclusion_tradeoff_si3d_vs_glass3d() {
-    let studies = run_all(MonitorLengths::Paper).expect("flow completes");
+    let studies = paper_studies();
     let si3d = study(&studies, InterposerKind::Silicon3D);
     let g3 = study(&studies, InterposerKind::Glass3D);
     // "Silicon 3D offers better performance and power efficiency, but
@@ -219,11 +229,11 @@ fn table6_material_ordering() {
 fn fig14_eye_shape_with_the_paper_deck() {
     // Glass 3D: widest and tallest eye; Silicon 2.5D lateral: worst.
     use interposer::diemap::NetClass;
-    use interposer::report::cached_layout;
     use si::eye::{lateral_eye, stacked_via_eye, EyeConfig};
     let cfg = EyeConfig::paper_deck();
     let g3 = stacked_via_eye(&cfg).expect("glass 3D eye");
-    let si_len = cached_layout(InterposerKind::Silicon25D)
+    let si_len = ctx()
+        .layout(InterposerKind::Silicon25D)
         .expect("layout")
         .worst_net_um(NetClass::IntraTileLateral);
     let si = lateral_eye(InterposerKind::Silicon25D, si_len, &cfg).expect("si eye");
@@ -245,7 +255,7 @@ fn fig14_eye_shape_with_the_paper_deck() {
 fn cost_extension_shape() {
     // Conclusion: glass is the cost-effective 3D option; silicon pays for
     // CoWoS mm² and (in 3D) thinning.
-    let rows = codesign::cost::cost_all().expect("cost model");
+    let rows = codesign::cost::cost_all(ctx());
     let get = |t: InterposerKind| rows.iter().find(|r| r.tech == t).expect("row").total_rcu;
     assert!(get(InterposerKind::Glass3D) < get(InterposerKind::Silicon3D));
     assert!(get(InterposerKind::Glass3D) < get(InterposerKind::Glass25D));
