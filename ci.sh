@@ -9,10 +9,12 @@ cargo build --release
 
 # perfbench is its own workspace, so the root build never compiles it.
 # Build it and run its unit tests here: a codesign API change that
-# breaks the benchmark then fails CI, not the next benchmark run.
+# breaks the benchmark then fails CI, not the next benchmark run. The
+# root target directory holds the workspace crates the release build
+# just compiled, so only codesign and perfbench are rebuilt.
 echo "==> perfbench build + unit tests"
-cargo build --release --manifest-path perfbench/Cargo.toml
-cargo test --release -q --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
@@ -134,13 +136,23 @@ echo "    router smoke: byte-identical, work width-invariant, route.nets $SMOKE_
 # or the thermal solver's stopping rule, and such a change re-pins them
 # on purpose. The studies hash is checked live: a fresh paper-default
 # study, built in release, must serialize to the pinned FNV-1a value.
+#
+# Both runs are also timed: a parallel path slower than one worker is a
+# bug, so on a host with at least two cores the two-worker cold run
+# must beat the one-worker one (about 5 s against 10 s on the 2-vCPU
+# reference box).
 echo "==> six-tech gate (--all --stats at 1 and 2 workers, pinned work, live studies hash)"
 for WORKERS in 1 2; do
+    START_NS=$(date +%s%N)
     CODESIGN_THREADS=$WORKERS cargo run --release -q -p codesign --bin codesign -- \
         --all --json --stats \
         > "/tmp/codesign_all_$WORKERS.json" 2> "/tmp/codesign_all_$WORKERS.txt"
+    declare "ALL_MS_$WORKERS=$(( ($(date +%s%N) - START_NS) / 1000000 ))"
 done
 cmp /tmp/codesign_all_1.json /tmp/codesign_all_2.json
+if [ "$(nproc)" -ge 2 ]; then
+    test "$ALL_MS_2" -lt "$ALL_MS_1"
+fi
 jq -e 'length == 6' /tmp/codesign_all_1.json > /dev/null
 for WORKERS in 1 2; do
     test "$(counter "/tmp/codesign_all_$WORKERS.txt" router.heap_pops)" -eq 57763836
@@ -148,7 +160,8 @@ for WORKERS in 1 2; do
     test "$(counter "/tmp/codesign_all_$WORKERS.txt" thermal.sor_sweeps)" -eq 6222
 done
 cargo test --release -q -p codesign --test flow_determinism -- paper_studies_hash_is_pinned
-echo "    six techs: byte-identical, pinned pops/expansions/SOR sweeps, live hash pinned"
+echo "    six techs: byte-identical, pinned pops/expansions/SOR sweeps, live hash pinned," \
+    "cold wall $ALL_MS_1 ms at 1 worker, $ALL_MS_2 ms at 2"
 
 # Serve smoke: start the daemon on an ephemeral port, POST the same
 # two-scenario file, and require the response bytes to equal the CLI's

@@ -6,8 +6,8 @@
 //! error selection, which is what makes parallel runs byte-identical to
 //! sequential ones:
 //!
-//! * [`ordered_map`] — fan a slice out across scoped threads, results in
-//!   input order;
+//! * [`ordered_map`] — fan a slice out across the process-wide pool,
+//!   results in input order;
 //! * [`try_ordered_map`] — same for fallible tasks; when several fail, the
 //!   error reported is the *first failing input's* error, exactly as a
 //!   sequential loop would report (later tasks' work is discarded);
@@ -15,9 +15,14 @@
 //!   heaviest items to workers first, results still in input order;
 //! * [`join`] — run two closures concurrently, results in argument order.
 //!
-//! Thread count is controlled by the `CODESIGN_THREADS` environment
-//! variable (see [`THREADS_ENV`]); `CODESIGN_THREADS=1` degenerates every
-//! helper to a plain in-order loop on the calling thread.
+//! Every helper runs on [`techlib::par`]'s one pool of parked workers
+//! plus the calling thread, so nested fan-outs (eye sources inside a
+//! link, links and thermal inside a tech, techs inside a study) share
+//! one bounded set of threads and none is spawned per call. Its width
+//! is the `CODESIGN_THREADS` environment variable (see [`THREADS_ENV`]),
+//! read once per process; `CODESIGN_THREADS=1` starts no worker and
+//! degenerates every helper to a plain in-order loop on the calling
+//! thread.
 
 pub use techlib::par::{join, ordered_map, ordered_map_with, thread_count, THREADS_ENV};
 

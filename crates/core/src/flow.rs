@@ -95,8 +95,10 @@ pub fn run_tech_in(
         Some(ctx.layout(tech)?.stats.clone())
     };
     // The link transients and the thermal solve touch no shared state, so
-    // they overlap when a worker is free. Error priority mirrors the
-    // sequential statement order: links first, then thermal.
+    // they overlap when a pool worker is free; otherwise (and on warm
+    // store hits, which finish before a worker wakes) both run on this
+    // thread. Error priority mirrors the sequential statement order:
+    // links first, then thermal.
     let (links, thermal) = exec::join(
         || {
             techlib::cancel::check("stage.si_links")?;

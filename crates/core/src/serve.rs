@@ -16,6 +16,7 @@
 //!        → admission (bounded queue, 429 + Retry-After when full)
 //!        → job queue (FIFO)
 //!        → request worker: deadline scope → context pool → batch run
+//!          (scenarios fan out on the process-wide `techlib::par` pool)
 //!        → bounded write (abort-on-stall within the write budget)
 //! ```
 //!
@@ -66,10 +67,13 @@
 //!   served from stored artifacts. Scenarios with fault sites always
 //!   get private, unpooled contexts over private stores — injected
 //!   failures must never poison a shared cache.
-//! * **Worker lease** — concurrent requests partition the machine
-//!   through a [`techlib::par::LeasePool`] instead of each fanning out
-//!   at full width. The granted width shapes wall-clock only; response
-//!   bodies are byte-identical at any width.
+//! * **Fan-out pool** — a request's scenarios, and the fan-out nested
+//!   inside each, run on [`techlib::par`]'s one process-wide pool of
+//!   `CODESIGN_THREADS − 1` parked workers plus the request worker
+//!   itself. Concurrent requests share that bounded set of threads
+//!   instead of spawning their own, and a fan-out nobody else has time
+//!   for runs on the request worker. The width shapes wall-clock only;
+//!   response bodies are byte-identical at any width.
 //! * **Drain** — `POST /shutdown` (or `SIGTERM`) stops admission,
 //!   finishes every queued and in-flight job, answers their clients,
 //!   and lets [`Server::run`] return cleanly.
@@ -427,7 +431,6 @@ struct Shared {
     /// check cannot overshoot.
     open_conns: AtomicU64,
     pool: ContextPool,
-    lease: techlib::par::LeasePool,
     stats: ServeStats,
     shutdown: AtomicBool,
     started: Instant,
@@ -444,7 +447,6 @@ impl Shared {
             None => Arc::new(ArtifactStore::in_memory()),
         };
         Ok(Shared {
-            lease: techlib::par::LeasePool::new(techlib::par::thread_count()),
             config,
             queue: Mutex::new(Queue::default()),
             ready: Condvar::new(),
@@ -890,13 +892,12 @@ fn execute(shared: &Shared, job: &Job) -> Response {
         Ok(scenarios) => scenarios,
         Err(e) => return Response::json(400, error_body(&e.to_string())),
     };
-    // Per-batch thread config: the daemon honours the *current*
-    // environment (resolve_thread_count re-reads it), unlike one-shot
-    // flows which memoise it per process.
-    let width = match techlib::par::resolve_thread_count() {
-        Ok(width) => width,
-        Err(e) => return Response::json(500, error_body(&e.to_string())),
-    };
+    // The pool's width is fixed per process; a malformed
+    // CODESIGN_THREADS fails every request rather than silently
+    // running at the fallback width.
+    if let Err(e) = techlib::par::try_thread_count() {
+        return Response::json(500, error_body(&e.to_string()));
+    }
     let mut contexts = Vec::with_capacity(scenarios.len());
     for scenario in &scenarios {
         match shared.pool.checkout(scenario) {
@@ -913,14 +914,10 @@ fn execute(shared: &Shared, job: &Job) -> Response {
             Err(e) => return Response::json(500, error_body(&e.to_string())),
         }
     }
-    // Lease a share of the machine for this request's fan-out. Width
-    // never changes response bytes, so whatever the pool grants is safe.
-    let lease = shared.lease.lease(width);
     let indices: Vec<usize> = (0..scenarios.len()).collect();
-    let outcomes = techlib::par::ordered_map_with(lease.workers(), &indices, |&i| {
+    let outcomes = techlib::par::ordered_map(&indices, |&i| {
         batch::run_in_context(&contexts[i], &scenarios[i])
     });
-    drop(lease);
     let deadline_hit = outcomes
         .iter()
         .any(|outcome| matches!(outcome, Err(FlowError::Deadline { .. })));
@@ -1269,7 +1266,7 @@ fn stats_body(shared: &Shared) -> String {
         shared.config.workers.max(1),
         shared.open_conns.load(Ordering::Relaxed),
         shared.config.max_connections.max(1),
-        shared.lease.total(),
+        techlib::par::thread_count(),
         stats.requests.load(Ordering::Relaxed),
         stats.rejected.load(Ordering::Relaxed),
         stats.conn_rejected.load(Ordering::Relaxed),

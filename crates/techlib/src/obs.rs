@@ -27,9 +27,9 @@
 //! Span attribution follows the same thread-scoped pattern as
 //! [`crate::faults`]: a flow entry point installs a label with
 //! [`label_scope_with`], and the [`crate::par`] fork/join helpers carry
-//! the caller's label into every worker they spawn ([`current_label`] /
-//! [`enter_label`]), so nested parallelism inside a scenario still
-//! attributes its spans to that scenario.
+//! the caller's label into every task they hand to a pool worker
+//! ([`current_label`] / [`enter_label`]), so nested parallelism inside a
+//! scenario still attributes its spans to that scenario.
 //!
 //! # Output
 //!
@@ -137,9 +137,15 @@ pub const SERVE_WRITE_TIMEOUTS: Counter = Counter(22);
 /// corridor-sharpened heuristic priced them past the goal — expansions
 /// the plain heuristic would have paid for.
 pub const ROUTER_HEURISTIC_PRUNES: Counter = Counter(23);
+/// Tasks handed to the fan-out pool by [`crate::par`] (one per `join`
+/// second branch, one per extra `ordered_map` claim loop).
+pub const PAR_TASKS: Counter = Counter(24);
+/// Submitted fan-out tasks that a pool worker ran; the rest were taken
+/// back and run by the submitting thread itself.
+pub const PAR_TASKS_ON_POOL: Counter = Counter(25);
 
 /// Names of every registered counter, indexed by [`Counter`] handle.
-pub const COUNTER_NAMES: [&str; 24] = [
+pub const COUNTER_NAMES: [&str; 26] = [
     "router.nets_routed",
     "thermal.sor_sweeps",
     "circuit.lu_factor",
@@ -164,6 +170,8 @@ pub const COUNTER_NAMES: [&str; 24] = [
     "serve.slow_client_aborts",
     "serve.write_timeouts",
     "router.heuristic_prunes",
+    "par.tasks",
+    "par.tasks_on_pool",
 ];
 
 static COUNTS: [AtomicU64; COUNTER_NAMES.len()] =

@@ -1,23 +1,37 @@
 //! Deterministic fork/join helpers shared by the whole workspace.
 //!
-//! Everything here is built on `std::thread::scope` — no external thread
-//! pool — and preserves **input order** in the output: `ordered_map`
-//! returns `f(items[0]), f(items[1]), …` regardless of which worker ran
-//! which item or how long each took. Combined with the workspace's
-//! fixed-seed RNGs, this is what makes the parallel flow byte-identical
-//! to the sequential one: parallelism is only ever applied across units
-//! that share no mutable state, and results are committed by index.
+//! Every fan-out runs on one process-wide pool: `thread_count() − 1`
+//! parked worker threads, started by the first fan-out and kept for the
+//! life of the process, plus the calling thread. No thread is spawned
+//! per call and no external thread pool is used. The helpers preserve
+//! **input order** in the output: `ordered_map` returns `f(items[0]),
+//! f(items[1]), …` regardless of which thread ran which item or how
+//! long each took. Combined with the workspace's fixed-seed RNGs, this
+//! is what makes the parallel flow byte-identical to the sequential
+//! one: parallelism is only ever applied across units that share no
+//! mutable state, and results are committed by index.
+//!
+//! A fan-out queues its extra tasks on the pool, runs its own share on
+//! the calling thread, then takes back and runs every one of its tasks
+//! that no worker has claimed yet. It blocks only on tasks another
+//! thread is already running, never on queued work, so nested fan-outs
+//! (a `join` inside an `ordered_map` inside a store compute) cannot
+//! deadlock however busy the pool is, and every level shares the same
+//! bounded set of threads.
 //!
 //! Thread count comes from the `CODESIGN_THREADS` environment variable
-//! (default: available parallelism). Setting `CODESIGN_THREADS=1` forces
-//! every helper in this module onto the caller's thread, which is also
-//! the fallback for single-item inputs — so the sequential path is not a
-//! separate code path that could drift, it *is* the parallel path at
-//! width 1.
+//! (default: available parallelism), read once per process. Setting
+//! `CODESIGN_THREADS=1` starts no worker and runs every helper in this
+//! module on the caller's thread, which is also the path for
+//! single-item inputs — so the sequential path is not a separate code
+//! path that could drift, it *is* the parallel path at width 1.
 
+use std::any::Any;
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment variable controlling worker-thread count.
 pub const THREADS_ENV: &str = "CODESIGN_THREADS";
@@ -87,14 +101,12 @@ fn threads_config() -> &'static Result<usize, ThreadsConfigError> {
 /// malformed configuration.
 ///
 /// The environment is read and validated on the first call and the
-/// verdict is **memoised for the life of the process** — the right
-/// semantics for one-shot flows, where the pool width must not change
-/// between stages of a single run. `CODESIGN_THREADS` wins when set and
-/// valid; unset falls back to
+/// verdict is **memoised for the life of the process**: the pool is
+/// started once at this width, so it cannot change between stages of a
+/// run or between the requests a daemon serves. `CODESIGN_THREADS` wins
+/// when set and valid; unset falls back to
 /// [`std::thread::available_parallelism`] (and 1 when even that is
-/// unavailable). Long-running daemons that want to honour an updated
-/// environment per request batch should use [`resolve_thread_count`]
-/// instead.
+/// unavailable).
 ///
 /// # Errors
 ///
@@ -102,28 +114,6 @@ fn threads_config() -> &'static Result<usize, ThreadsConfigError> {
 /// non-numeric, or zero.
 pub fn try_thread_count() -> Result<usize, ThreadsConfigError> {
     threads_config().clone()
-}
-
-/// Re-reads and validates `CODESIGN_THREADS` on **every** call — the
-/// daemon-facing form of [`try_thread_count`].
-///
-/// The memoised [`try_thread_count`] is correct for one-shot flows but
-/// wrong for a long-running server: a `codesign serve` process would
-/// otherwise pin the width observed at its first request forever. This
-/// function consults the environment afresh each time and never touches
-/// (or seeds) the process-wide memo, so the two can coexist: the serve
-/// loop resolves per request batch, while any one-shot flow helpers it
-/// calls keep their stable memoised verdict.
-///
-/// # Errors
-///
-/// Returns [`ThreadsConfigError`] when the variable is currently set
-/// but empty, non-numeric, or zero.
-pub fn resolve_thread_count() -> Result<usize, ThreadsConfigError> {
-    match parse_threads(std::env::var(THREADS_ENV).ok().as_deref())? {
-        Some(n) => Ok(n),
-        None => Ok(default_parallelism()),
-    }
 }
 
 /// The worker count used by the helpers in this module.
@@ -156,7 +146,7 @@ pub fn thread_count() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope joins all workers first).
+/// Propagates panics from `f`, once every other item has finished.
 pub fn ordered_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -166,160 +156,68 @@ where
     ordered_map_with(thread_count(), items, f)
 }
 
-/// [`ordered_map`] with an explicit worker count (mainly for tests and
-/// benchmarks comparing widths).
+/// [`ordered_map`] with an explicit width: at most `workers` threads
+/// (the caller and up to `workers − 1` pool workers) claim items. The
+/// pool's own size still bounds it, so a width above
+/// [`thread_count`] adds no threads.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f`.
+/// Propagates panics from `f`, once every other item has finished.
 pub fn ordered_map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let workers = workers.max(1).min(items.len());
-    if workers <= 1 {
+    let helpers = match workers.min(items.len()) {
+        0 | 1 => 0,
+        width => (width - 1).min(pool_workers()),
+    };
+    if helpers == 0 {
         return items.iter().map(f).collect();
     }
-    // Each worker claims indices from the shared cursor and writes only
-    // the slots it claimed, so the writes are disjoint; the scope joins
-    // all workers before the slots are read back.
     struct Slots<U>(Vec<UnsafeCell<Option<U>>>);
+    // SAFETY: each claim loop takes indices from the shared cursor and
+    // writes only the slots it claimed, so no two threads touch one
+    // slot, and `scatter` returns only after every loop has finished,
+    // before the slots are read back. Values move from the writing
+    // thread to the caller, hence `U: Send`.
     unsafe impl<U: Send> Sync for Slots<U> {}
     let mut slots = Slots(Vec::with_capacity(items.len()));
     slots.0.resize_with(items.len(), || UnsafeCell::new(None));
     let cursor = AtomicUsize::new(0);
-    // Workers inherit the caller's fault scope (so scenario-scoped
-    // injection behaves identically at any width), its observability
-    // label (so spans recorded inside workers attribute to the caller's
-    // scenario), and its deadline scope (so a cancelled request's nested
-    // parallelism observes the same deadline the request thread does).
-    let fault_scope = crate::faults::current_scope();
-    let cancel_scope = crate::cancel::current_scope();
-    let obs_label = crate::obs::current_label();
-    std::thread::scope(|scope| {
-        let slots = &slots;
-        let f = &f;
-        let cursor = &cursor;
-        for _ in 0..workers {
-            let obs_label = obs_label.clone();
-            scope.spawn(move || {
-                let _scope = crate::faults::enter_scope(fault_scope);
-                let _deadline = crate::cancel::enter_scope(cancel_scope);
-                let _label = crate::obs::enter_label(obs_label);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let out = f(&items[i]);
-                    // SAFETY: index `i` came from `fetch_add`, so exactly one
-                    // worker ever touches `slots.0[i]`.
-                    unsafe { *slots.0[i].get() = Some(out) };
-                }
-            });
+    let shared = &slots;
+    let claim = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
-    });
+        let out = f(&items[i]);
+        // SAFETY: index `i` came from `fetch_add`, so exactly one claim
+        // loop ever touches `slots.0[i]`.
+        unsafe { *shared.0[i].get() = Some(out) };
+    };
+    let jobs = (0..helpers).map(|_| in_callers_scopes(claim)).collect();
+    scatter(jobs, claim);
     slots
         .0
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every index filled"))
+        .map(|slot| match slot.into_inner() {
+            Some(out) => out,
+            None => unreachable!("every claim loop ran to the end of the cursor"),
+        })
         .collect()
 }
 
-/// A counting lease over a fixed worker budget, for callers that run
-/// **concurrent** [`ordered_map_with`] fan-outs and must not
-/// oversubscribe the machine (the `codesign serve` request workers).
-///
-/// The pool starts with `total` slots. [`LeasePool::lease`] blocks
-/// until at least one slot is free, then grants `min(want, free)` slots
-/// at once; dropping the returned [`Lease`] refunds them. Because the
-/// workspace's fan-outs are byte-identical at any width, a lease only
-/// shapes wall-clock and CPU pressure — never results — so it is always
-/// safe to run a batch at whatever width the pool happened to grant.
-#[derive(Debug)]
-pub struct LeasePool {
-    total: usize,
-    available: std::sync::Mutex<usize>,
-    freed: std::sync::Condvar,
-}
-
-impl LeasePool {
-    /// A pool with `total` slots (clamped to at least 1, so a lease can
-    /// always eventually be granted).
-    pub fn new(total: usize) -> LeasePool {
-        let total = total.max(1);
-        LeasePool {
-            total,
-            available: std::sync::Mutex::new(total),
-            freed: std::sync::Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        // The guarded value is a plain counter; a panicking holder
-        // cannot leave it inconsistent, so poison is benign.
-        self.available
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The pool's total slot budget.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Slots currently free (racy snapshot, for reporting only).
-    pub fn available(&self) -> usize {
-        *self.lock()
-    }
-
-    /// Blocks until at least one slot is free, then takes
-    /// `min(want.max(1), free)` slots. The grant is returned through
-    /// [`Lease::workers`] and refunded when the lease drops.
-    pub fn lease(&self, want: usize) -> Lease<'_> {
-        let want = want.max(1).min(self.total);
-        let mut free = self.lock();
-        while *free == 0 {
-            free = self
-                .freed
-                .wait(free)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        let granted = want.min(*free);
-        *free -= granted;
-        Lease {
-            pool: self,
-            workers: granted,
-        }
-    }
-}
-
-/// A live grant from [`LeasePool::lease`]; refunds its slots on drop.
-#[derive(Debug)]
-pub struct Lease<'a> {
-    pool: &'a LeasePool,
-    workers: usize,
-}
-
-impl Lease<'_> {
-    /// How many worker slots this lease holds (use as the width of an
-    /// [`ordered_map_with`] call).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        *self.pool.lock() += self.workers;
-        self.pool.freed.notify_all();
-    }
-}
-
 /// Runs two closures concurrently and returns both results as a tuple,
-/// in argument order.
+/// in argument order: `b` is offered to the pool and `a` runs on the
+/// calling thread, which also runs `b` if no worker has taken it by
+/// then.
+///
+/// # Panics
+///
+/// Propagates a panic from either closure, once both have finished.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -327,22 +225,196 @@ where
     RA: Send,
     RB: Send,
 {
-    if thread_count() <= 1 {
+    if pool_workers() == 0 {
         return (a(), b());
     }
+    let mut rb = None;
+    let ra = scatter(vec![in_callers_scopes(|| rb = Some(b()))], a);
+    match rb {
+        Some(rb) => (ra, rb),
+        None => unreachable!("the second branch ran before scatter returned"),
+    }
+}
+
+/// A fan-out task borrowing the caller's stack.
+type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// A panic caught on one thread, to be resumed on the submitting one.
+type Panic = Box<dyn Any + Send + 'static>;
+
+/// The process-wide fan-out pool: one FIFO of tasks that the parked
+/// workers wait on.
+struct Pool {
+    queue: Mutex<VecDeque<Task>>,
+    ready: Condvar,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(VecDeque::new()),
+    ready: Condvar::new(),
+};
+
+/// One queued task: a job with its borrowed lifetime erased, and the
+/// latch of the fan-out that submitted it.
+struct Task {
+    job: Job<'static>,
+    latch: Arc<Latch>,
+}
+
+/// How many of one fan-out's submitted tasks are unfinished, and the
+/// first panic one of them raised.
+#[derive(Default)]
+struct Latch {
+    state: Mutex<(usize, Option<Panic>)>,
+    done: Condvar,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Jobs run outside every lock in this module, so a poisoned lock
+    // never guards a half-updated queue or latch.
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The pool's parked workers, started by the first call: one fewer
+/// than [`thread_count`], so the calling thread makes up the width.
+/// Zero at width 1 (no thread is ever started) or if the platform
+/// refuses to start threads, in which case every helper runs inline.
+/// The workers are never joined: they park between tasks for the life
+/// of the process, and a task's panic is caught and resumed on the
+/// thread that submitted it, so none is hidden.
+fn pool_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        (1..thread_count())
+            .filter(|i| {
+                std::thread::Builder::new()
+                    .name(format!("par-{i}"))
+                    .spawn(work)
+                    .is_ok()
+            })
+            .count()
+    })
+}
+
+/// A pool worker's loop: take the oldest queued task, run it, repeat.
+fn work() {
+    loop {
+        let task = {
+            let mut queue = lock(&POOL.queue);
+            loop {
+                match queue.pop_front() {
+                    Some(task) => break task,
+                    None => {
+                        queue = POOL
+                            .ready
+                            .wait(queue)
+                            .unwrap_or_else(PoisonError::into_inner)
+                    }
+                }
+            }
+        };
+        crate::obs::add(crate::obs::PAR_TASKS_ON_POOL, 1);
+        task.run();
+    }
+}
+
+impl Task {
+    /// Runs the job, catching a panic, and counts it finished. The job
+    /// and everything it borrows are dropped before the latch is told.
+    fn run(self) {
+        let Task { job, latch } = self;
+        let panic = panic::catch_unwind(AssertUnwindSafe(job)).err();
+        let mut state = lock(&latch.state);
+        state.0 -= 1;
+        if state.1.is_none() {
+            state.1 = panic;
+        }
+        if state.0 == 0 {
+            latch.done.notify_all();
+        }
+    }
+}
+
+/// Wraps `job` so it runs inside the caller's fault scope, deadline
+/// scope and observability label on whichever thread picks it up, so
+/// scenario-scoped fault injection, a request's deadline and span
+/// attribution behave identically at any width.
+fn in_callers_scopes<'a>(job: impl FnOnce() + Send + 'a) -> Job<'a> {
     let fault_scope = crate::faults::current_scope();
     let cancel_scope = crate::cancel::current_scope();
     let obs_label = crate::obs::current_label();
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || {
-            let _scope = crate::faults::enter_scope(fault_scope);
-            let _deadline = crate::cancel::enter_scope(cancel_scope);
-            let _label = crate::obs::enter_label(obs_label);
-            b()
-        });
-        let ra = a();
-        (ra, hb.join().expect("join: second branch panicked"))
+    Box::new(move || {
+        let _scope = crate::faults::enter_scope(fault_scope);
+        let _deadline = crate::cancel::enter_scope(cancel_scope);
+        let _label = crate::obs::enter_label(obs_label);
+        job();
     })
+}
+
+/// Queues `jobs` on the pool, runs `own` on the calling thread, then
+/// takes back and runs every job no worker has claimed, and returns
+/// once all of them have finished. It waits only on jobs that another
+/// thread is already running.
+///
+/// # Panics
+///
+/// After every job has finished, resumes the panic of `own` if it
+/// panicked, else the first panic a job raised.
+fn scatter<'a, R>(jobs: Vec<Job<'a>>, own: impl FnOnce() -> R) -> R {
+    let submitted = jobs.len();
+    let latch = Arc::new(Latch::default());
+    lock(&latch.state).0 = submitted;
+    crate::obs::add(crate::obs::PAR_TASKS, submitted as u64);
+    {
+        let mut queue = lock(&POOL.queue);
+        for job in jobs {
+            // SAFETY: the job borrows data that outlives this call, and
+            // this call cannot return or unwind before the latch counts
+            // the job finished: a worker drops the job before telling
+            // the latch, and a job no worker claimed is taken back out
+            // of the queue and run below. `own` runs under
+            // `catch_unwind`, and nothing else between here and the
+            // latch wait panics, so no borrow outlives its data.
+            let job = unsafe { std::mem::transmute::<Job<'a>, Job<'static>>(job) };
+            queue.push_back(Task {
+                job,
+                latch: Arc::clone(&latch),
+            });
+        }
+    }
+    for _ in 0..submitted {
+        POOL.ready.notify_one();
+    }
+    let own = panic::catch_unwind(AssertUnwindSafe(own));
+    let unclaimed: Vec<Task> = {
+        let mut queue = lock(&POOL.queue);
+        let mut mine = Vec::new();
+        let mut i = 0;
+        while i < queue.len() {
+            if Arc::ptr_eq(&queue[i].latch, &latch) {
+                mine.extend(queue.remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        mine
+    };
+    for task in unclaimed {
+        task.run();
+    }
+    let mut state = lock(&latch.state);
+    while state.0 > 0 {
+        state = latch
+            .done
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    let job_panic = state.1.take();
+    drop(state);
+    match (own, job_panic) {
+        (Err(panic), _) | (Ok(_), Some(panic)) => panic::resume_unwind(panic),
+        (Ok(out), None) => out,
+    }
 }
 
 #[cfg(test)]
@@ -427,54 +499,157 @@ mod tests {
         drop(scope);
     }
 
-    #[test]
-    fn lease_pool_grants_and_refunds() {
-        let pool = LeasePool::new(4);
-        assert_eq!(pool.total(), 4);
-        assert_eq!(pool.available(), 4);
-        let a = pool.lease(3);
-        assert_eq!(a.workers(), 3);
-        assert_eq!(pool.available(), 1);
-        // A second lease wanting more than remains gets what's free.
-        let b = pool.lease(8);
-        assert_eq!(b.workers(), 1);
-        assert_eq!(pool.available(), 0);
-        drop(a);
-        assert_eq!(pool.available(), 3);
-        drop(b);
-        assert_eq!(pool.available(), 4);
+    /// Runs `probe` on two threads at once, one of them a pool worker:
+    /// each of two items waits at a barrier for the other, so the
+    /// caller alone cannot finish them. `None` at width 1, where no
+    /// worker exists.
+    fn on_the_caller_and_a_worker<R: Send>(probe: impl Fn() -> R + Sync) -> Option<Vec<R>> {
+        if pool_workers() == 0 {
+            return None;
+        }
+        let both = std::sync::Barrier::new(2);
+        Some(ordered_map_with(2, &[0, 1], |_| {
+            both.wait();
+            probe()
+        }))
     }
 
     #[test]
-    fn lease_pool_blocks_until_a_slot_frees() {
-        let pool = LeasePool::new(1);
-        let first = pool.lease(1);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| pool.lease(1).workers());
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            drop(first);
-            assert_eq!(waiter.join().expect("waiter finishes"), 1);
+    fn pool_workers_run_tasks_in_the_callers_scopes() {
+        let _faults = crate::faults::scoped(["partition.split"]);
+        let _deadline = crate::cancel::deadline_at(
+            std::time::Instant::now() - std::time::Duration::from_millis(1),
+        );
+        let caller = std::thread::current().id();
+        let Some(seen) = on_the_caller_and_a_worker(|| {
+            (
+                std::thread::current().id(),
+                crate::faults::armed("partition.split"),
+                crate::cancel::expired(),
+            )
+        }) else {
+            return;
+        };
+        assert!(seen.iter().any(|&(id, _, _)| id != caller));
+        assert!(seen.iter().all(|&(_, armed, expired)| armed && expired));
+
+        // `join`'s first branch waits for its second, which therefore
+        // runs on a worker.
+        let both = std::sync::Barrier::new(2);
+        let (_, (on, armed, expired)) = join(
+            || both.wait(),
+            || {
+                both.wait();
+                (
+                    std::thread::current().id(),
+                    crate::faults::armed("partition.split"),
+                    crate::cancel::expired(),
+                )
+            },
+        );
+        assert_ne!(on, caller);
+        assert!(armed && expired, "join's second branch sees the scopes");
+    }
+
+    #[test]
+    fn fan_outs_reuse_a_bounded_set_of_threads() {
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let record = || {
+            lock(&ran_on).insert(std::thread::current().id());
+        };
+        let items: Vec<u32> = (0..8).collect();
+        for _ in 0..200 {
+            join(record, record);
+            ordered_map_with(4, &items, |_| record());
+        }
+        let distinct = lock(&ran_on).len();
+        assert!(
+            distinct <= pool_workers() + 1,
+            "{distinct} threads ran tasks; the pool has {} workers",
+            pool_workers()
+        );
+    }
+
+    #[test]
+    fn a_panicking_item_propagates_after_its_siblings() {
+        let finished = AtomicU32::new(0);
+        let items: Vec<u32> = (0..16).collect();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            ordered_map_with(4, &items, |&i| {
+                if i == 15 {
+                    panic!("the last item fails");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"the last item fails"));
+        assert_eq!(finished.load(Ordering::Relaxed), 15, "siblings finished");
+
+        let outcome = panic::catch_unwind(|| join(|| 1, || panic!("branch b fails")));
+        assert!(
+            outcome.is_err(),
+            "join propagates the second branch's panic"
+        );
+
+        // The workers survived: the next fan-out still runs on the pool.
+        let caller = std::thread::current().id();
+        if let Some(ran_on) = on_the_caller_and_a_worker(|| std::thread::current().id()) {
+            assert!(ran_on.iter().any(|&id| id != caller));
+        }
+    }
+
+    #[test]
+    fn nested_fan_out_inside_a_store_compute_matches_sequential() {
+        fn nested(x: u64) -> u64 {
+            let (left, right) = join(
+                || {
+                    let items: Vec<u64> = (0..24).collect();
+                    ordered_map_with(8, &items, |&i| {
+                        let (p, q) = join(|| i * x, || i + x);
+                        p ^ q
+                    })
+                    .into_iter()
+                    .fold(0, u64::wrapping_add)
+                },
+                || x * 7,
+            );
+            left.wrapping_mul(31).wrapping_add(right)
+        }
+        let sequential: Vec<u64> = (0..6)
+            .map(|x| {
+                let (left, right) = (
+                    (0..24u64)
+                        .map(|i| (i * x) ^ (i + x))
+                        .fold(0, u64::wrapping_add),
+                    x * 7,
+                );
+                left.wrapping_mul(31).wrapping_add(right)
+            })
+            .collect();
+        let codec = crate::store::Codec::<u64> {
+            encode: |v| Some(v.to_string()),
+            decode: |s| s.parse().ok(),
+        };
+        let store = crate::store::ArtifactStore::in_memory();
+        let key = |x: u64| {
+            let mut h = crate::store::KeyHasher::new("nested", 1);
+            h.field_u64("x", x);
+            h.finish()
+        };
+        // Twelve requests over six keys: a pool worker may block on a
+        // key whose holder is fanning out, which must not deadlock.
+        let requests: Vec<u64> = (0..12).map(|i| i % 6).collect();
+        let got = ordered_map_with(4, &requests, |&x| {
+            let (v, _) = store
+                .get_or_compute(key(x), &codec, || Ok::<_, ()>(nested(x)))
+                .expect("compute is infallible");
+            *v
         });
-        assert_eq!(pool.available(), 1);
-    }
-
-    #[test]
-    fn lease_pool_never_grants_zero() {
-        let pool = LeasePool::new(0);
-        assert_eq!(pool.total(), 1, "budget clamps to at least one slot");
-        assert_eq!(pool.lease(0).workers(), 1);
-    }
-
-    #[test]
-    fn resolve_thread_count_is_positive_and_uncached() {
-        // The test environment leaves CODESIGN_THREADS either unset or
-        // valid, so resolution succeeds; the point here is that calling
-        // it repeatedly re-reads the environment without panicking or
-        // seeding the memoised path with a different verdict.
-        let a = resolve_thread_count().expect("valid environment");
-        let b = resolve_thread_count().expect("valid environment");
-        assert!(a >= 1);
-        assert_eq!(a, b);
+        let want: Vec<u64> = requests.iter().map(|&x| sequential[x as usize]).collect();
+        assert_eq!(got, want);
+        assert_eq!(store.stats().misses, 6, "each key computed once");
     }
 
     #[test]

@@ -271,62 +271,93 @@ fn si_only_sweep_shares_the_physical_prefix_across_scenarios() {
     assert_eq!(stats.disk_hits, 0, "in-memory store claims disk hits");
 }
 
+/// The three scenarios of the identity test: a paper default, a
+/// loss-tangent override and a fault-armed one, as a `codesign sweep`
+/// scenario file.
+const IDENTITY_SCENARIOS: &str = r#"[
+  { "name": "paper-glass25d", "tech": "glass25d" },
+  { "name": "lossy-glass", "tech": "glass25d", "overrides": { "loss_tangent": 0.006 } },
+  { "name": "broken-thermal", "tech": "glass3d", "fault_sites": ["thermal.solve"] }
+]"#;
+
+/// One `codesign sweep --json --stats` child over the cache directory
+/// `dir` at `workers` workers: its stdout and its `--stats` counter
+/// table. The worker count is fixed for the life of a process, so each
+/// width needs its own process.
+fn sweep_child(file: &std::path::Path, dir: &std::path::Path, workers: &str) -> (String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_codesign"))
+        .arg("sweep")
+        .arg(file)
+        .args(["--json", "--stats", "--cache-dir"])
+        .arg(dir)
+        .env(techlib::par::THREADS_ENV, workers)
+        .output()
+        .expect("codesign sweep runs");
+    // The fault-armed scenario fails on its own row, so the sweep exits 1.
+    assert_eq!(out.status.code(), Some(1), "sweep at {workers} workers");
+    (
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    )
+}
+
+/// A counter's value in a `--stats` table.
+fn stats_counter(table: &str, name: &str) -> u64 {
+    table
+        .lines()
+        .find_map(|line| {
+            let mut cols = line.split_whitespace();
+            (cols.next() == Some(name)).then(|| cols.next()?.parse().ok())?
+        })
+        .unwrap_or_else(|| panic!("no {name} row in:\n{table}"))
+}
+
 /// The hard invariant of the whole store: every output byte is
 /// identical to the uncached sequential reference — when the cache is
-/// cold, when it is memory-warm, and when a new store instance rereads
-/// a previous run's disk tier (a simulated process restart) — at
-/// several worker counts, mixed clean/overridden/faulty scenarios.
+/// cold, when a new process rereads a previous run's disk tier (a
+/// restart), and when it is memory-warm — at several worker counts,
+/// mixed clean/overridden/faulty scenarios. Each worker count runs in
+/// its own `codesign sweep` child over one shared cache directory.
 #[test]
 fn cached_sweeps_are_byte_identical_to_the_uncached_reference() {
-    let scenarios = vec![
-        Scenario::paper(InterposerKind::Glass25D),
-        Scenario::new(
-            "lossy-glass",
-            InterposerKind::Glass25D,
-            MonitorLengths::Routed,
-            ScenarioOverrides {
-                loss_tangent: Some(0.006),
-                ..Default::default()
-            },
-            Vec::new(),
-        )
-        .unwrap(),
-        Scenario::new(
-            "broken-thermal",
-            InterposerKind::Glass3D,
-            MonitorLengths::Routed,
-            ScenarioOverrides::default(),
-            vec!["thermal.solve".to_string()],
-        )
-        .unwrap(),
-    ];
+    let scenarios = codesign::scenario::scenarios_from_json(IDENTITY_SCENARIOS).unwrap();
     let reference = {
         let outcomes = batch::run_sequential(&scenarios);
         batch::sweep_json(&scenarios, &outcomes).unwrap()
     };
 
     let dir = temp_dir("identity");
-    for workers in ["1", "2", "4", "7"] {
-        std::env::set_var(techlib::par::THREADS_ENV, workers);
-        // A new store instance per worker count: the first pass is
-        // genuinely cold, every later pass replays the disk tier the
-        // way a restarted process would.
-        let store = Arc::new(ArtifactStore::with_disk(&dir).unwrap());
-        let cold = batch::run_with_store(&scenarios, Some(Arc::clone(&store))).unwrap();
+    let file = temp_dir("identity_scenarios.json");
+    std::fs::write(&file, IDENTITY_SCENARIOS).unwrap();
+    for (pass, workers) in ["1", "2", "4", "7"].into_iter().enumerate() {
+        // The first child is genuinely cold; every later one starts
+        // with an empty memory tier and replays the disk tier the way
+        // a restarted process would.
+        let (stdout, stats) = sweep_child(&file, &dir, workers);
         assert_eq!(
-            batch::sweep_json(&scenarios, &cold).unwrap(),
-            reference,
+            stdout,
+            format!("{reference}\n"),
             "store-backed sweep diverges at {workers} workers"
         );
-        let warm = batch::run_with_store(&scenarios, Some(store)).unwrap();
-        assert_eq!(
-            batch::sweep_json(&scenarios, &warm).unwrap(),
-            reference,
-            "memory-warm sweep diverges at {workers} workers"
-        );
+        if pass > 0 {
+            assert!(
+                stats_counter(&stats, "store.disk_hit") > 0,
+                "restart at {workers} workers never read the disk tier:\n{stats}"
+            );
+            // `store.miss` also counts the fault-armed scenario's
+            // private in-memory store; every miss on the shared disk
+            // store would write its artifact back.
+            assert_eq!(
+                stats_counter(&stats, "store.write"),
+                0,
+                "warm restart at {workers} workers recomputed:\n{stats}"
+            );
+        }
     }
+    let _ = std::fs::remove_file(&file);
 
-    // The last restart must have been served from the disk tier.
+    // This process restarts over the children's disk tier, then runs
+    // again from its now memory-warm store.
     let store = Arc::new(ArtifactStore::with_disk(&dir).unwrap());
     let replay = batch::run_with_store(&scenarios, Some(Arc::clone(&store))).unwrap();
     assert_eq!(batch::sweep_json(&scenarios, &replay).unwrap(), reference);
@@ -336,6 +367,17 @@ fn cached_sweeps_are_byte_identical_to_the_uncached_reference() {
         "restart never read the disk tier: {stats:?}"
     );
     assert_eq!(stats.misses, 0, "warm restart recomputed: {stats:?}");
+    let warm = batch::run_with_store(&scenarios, Some(Arc::clone(&store))).unwrap();
+    assert_eq!(
+        batch::sweep_json(&scenarios, &warm).unwrap(),
+        reference,
+        "memory-warm sweep diverges"
+    );
+    assert_eq!(
+        store.stats().disk_hits,
+        stats.disk_hits,
+        "memory-warm pass went back to disk"
+    );
 }
 
 /// Fault-armed scenarios must leave the shared store untouched: no
