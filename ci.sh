@@ -80,23 +80,30 @@ echo "    warm cache: byte-identical, served from disk, zero recomputes"
 # the 12-scenario sweep (three techs x four knobs) must print the same
 # bytes in parallel as in sequence, and must run exactly as many SOR
 # sweeps as the three paper points of the same techs: one thermal solve
-# per technology, however many scenarios share it.
-echo "==> shared-store sweep smoke (parallel == sequential, one thermal solve per tech)"
+# per technology, however many scenarios share it. Its router work is
+# pinned too, so a search change shows on a knob sweep and not only on
+# the paper's six techs; like the six-tech pins below, a deliberate
+# search change re-pins these counts.
+echo "==> shared-store sweep smoke (parallel == sequential, one thermal solve per tech, pinned router work)"
 rm -f /tmp/codesign_shared_par.json /tmp/codesign_shared_seq.json
 cargo run --release -q -p codesign --bin codesign -- \
     sweep examples/sweep_shared_thermal.json --json > /tmp/codesign_shared_par.json
 cargo run --release -q -p codesign --bin codesign -- \
     sweep examples/sweep_shared_thermal.json --json --sequential > /tmp/codesign_shared_seq.json
 cmp /tmp/codesign_shared_par.json /tmp/codesign_shared_seq.json
-sor_sweeps() {
-    cargo run --release -q -p codesign --bin codesign -- sweep "$1" --stats 2>&1 >/dev/null \
-        | awk '$1 == "thermal.sor_sweeps" { print $2 }'
+sweep_stats() {
+    cargo run --release -q -p codesign --bin codesign -- sweep "$1" --stats 2> "$2" > /dev/null
 }
-SHARED_SWEEPS=$(sor_sweeps examples/sweep_shared_thermal.json)
-PAPER_SWEEPS=$(sor_sweeps examples/paper_cheap_techs.json)
+sweep_stats examples/sweep_shared_thermal.json /tmp/codesign_shared_stats.txt
+sweep_stats examples/paper_cheap_techs.json /tmp/codesign_paper_stats.txt
+SHARED_SWEEPS=$(counter /tmp/codesign_shared_stats.txt thermal.sor_sweeps)
+PAPER_SWEEPS=$(counter /tmp/codesign_paper_stats.txt thermal.sor_sweeps)
 test -n "$SHARED_SWEEPS" && test "$SHARED_SWEEPS" -gt 0
 test "$SHARED_SWEEPS" -eq "$PAPER_SWEEPS"
-echo "    shared sweep: byte-identical, $SHARED_SWEEPS SOR sweeps (= the 3 paper points)"
+test "$(counter /tmp/codesign_shared_stats.txt router.heap_pops)" -eq 8595374
+test "$(counter /tmp/codesign_shared_stats.txt router.expansions)" -eq 6017774
+echo "    shared sweep: byte-identical, $SHARED_SWEEPS SOR sweeps (= the 3 paper points)," \
+    "pinned pops/expansions"
 
 # Summed route.nets milliseconds of a --stats table; fails when the
 # table has no route.nets row, so a run that never routed cannot pass.

@@ -48,9 +48,9 @@
 //!   the budget has its socket dropped (`serve.write_timeouts`), so
 //!   graceful drain completes even against clients that never read.
 //!
-//! * **Admission** — the queue holds at most
-//!   [`ServeConfig::queue_depth`] *waiting* jobs. A request arriving
-//!   with the queue full is rejected immediately with `429 Too Many
+//! * **Admission** — at most [`ServeConfig::workers`] jobs execute and
+//!   at most [`ServeConfig::queue_depth`] more wait. A request arriving
+//!   with both full is rejected immediately with `429 Too Many
 //!   Requests` and a `Retry-After` header: explicit backpressure
 //!   instead of unbounded memory growth.
 //! * **Deadlines** — `X-Codesign-Deadline-Ms` (or the server-wide
@@ -280,7 +280,6 @@ struct ServeStats {
     completed: AtomicU64,
     context_hits: AtomicU64,
     context_misses: AtomicU64,
-    in_flight: AtomicU64,
     latencies_us: LatencyHistogram,
 }
 
@@ -381,6 +380,10 @@ struct Job {
 #[derive(Debug, Default)]
 struct Queue {
     jobs: VecDeque<Job>,
+    /// Jobs a request worker has taken and not yet answered. Admission
+    /// counts them with the waiting `jobs`, so an idle worker's slot is
+    /// free before the worker wakes and stays taken until it replies.
+    running: usize,
     closed: bool,
 }
 
@@ -840,6 +843,7 @@ fn worker_loop(shared: &Shared) {
             let mut queue = shared.lock_queue();
             loop {
                 if let Some(job) = queue.jobs.pop_front() {
+                    queue.running += 1;
                     break Some(job);
                 }
                 if queue.closed {
@@ -852,18 +856,17 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(job) = job else { return };
-        shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         // Panic isolation: a sweep that panics must not kill the
         // worker (its queued successors would wait on recv() forever)
-        // or leave in_flight stuck — answer 500 and move on.
+        // or leave its running slot taken — answer 500 and move on.
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, &job)));
         let response =
             outcome.unwrap_or_else(|_| Response::json(500, error_body("request worker panicked")));
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         shared.stats.latencies_us.record(elapsed_us);
-        shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.lock_queue().running -= 1;
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         techlib::obs::add(techlib::obs::SERVE_COMPLETED, 1);
         // A send failure means the client hung up; the work is done
@@ -1216,7 +1219,13 @@ fn admit_sweep(shared: &Shared, request: &Request) -> Response {
         if queue.closed || shared.shutdown.load(Ordering::Relaxed) {
             return Response::json(503, error_body("server is draining"));
         }
-        if queue.jobs.len() >= shared.config.queue_depth {
+        // Saturating: `--queue-depth` is user input and may be huge.
+        let capacity = shared
+            .config
+            .workers
+            .max(1)
+            .saturating_add(shared.config.queue_depth);
+        if queue.running + queue.jobs.len() >= capacity {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
             techlib::obs::add(techlib::obs::SERVE_ADMISSION_REJECTS, 1);
             return Response {
@@ -1236,7 +1245,10 @@ fn admit_sweep(shared: &Shared, request: &Request) -> Response {
 }
 
 fn stats_body(shared: &Shared) -> String {
-    let queue_depth = shared.lock_queue().jobs.len();
+    let (queue_depth, in_flight) = {
+        let queue = shared.lock_queue();
+        (queue.jobs.len(), queue.running)
+    };
     let stats = &shared.stats;
     let hits = stats.context_hits.load(Ordering::Relaxed);
     let misses = stats.context_misses.load(Ordering::Relaxed);
@@ -1262,7 +1274,7 @@ fn stats_body(shared: &Shared) -> String {
             "\"latency_p99_us\":{},\"uptime_us\":{}}}\n"
         ),
         queue_depth,
-        stats.in_flight.load(Ordering::Relaxed),
+        in_flight,
         shared.config.workers.max(1),
         shared.open_conns.load(Ordering::Relaxed),
         shared.config.max_connections.max(1),

@@ -133,10 +133,6 @@ pub trait FrontierQueue {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Visits every queued entry exactly once, in unspecified order (the
-    /// certificate fold over the unpopped frontier).
-    fn for_each(&self, f: impl FnMut(&FrontierItem));
 }
 
 #[inline]
@@ -182,14 +178,6 @@ pub struct BucketQueue {
 }
 
 impl BucketQueue {
-    /// The listed slots in tick order from the cursor.
-    fn listed(&self) -> impl Iterator<Item = usize> + '_ {
-        (1..RING as u64)
-            .map(|d| slot_of(self.cursor + d))
-            .filter(|&slot| self.heads[slot] != NIL)
-            .take(self.listed_slots)
-    }
-
     /// Queues `item` at tick `t`, which lies in `[cursor, cursor + RING)`.
     #[inline]
     fn ring_push(&mut self, t: u64, item: FrontierItem) {
@@ -330,19 +318,6 @@ impl FrontierQueue for BucketQueue {
     fn len(&self) -> usize {
         self.len
     }
-
-    fn for_each(&self, mut f: impl FnMut(&FrontierItem)) {
-        self.heap.iter().for_each(&mut f);
-        for slot in self.listed() {
-            let mut next = self.heads[slot];
-            while next != NIL {
-                let (item, after) = &self.arena[next as usize];
-                f(item);
-                next = *after;
-            }
-        }
-        self.overflow.iter().for_each(f);
-    }
 }
 
 /// The retained global binary heap, kept as the differential oracle for
@@ -372,10 +347,6 @@ impl FrontierQueue for HeapFrontier {
     fn len(&self) -> usize {
         self.0.len()
     }
-
-    fn for_each(&self, f: impl FnMut(&FrontierItem)) {
-        self.0.iter().for_each(f);
-    }
 }
 
 #[cfg(test)]
@@ -404,15 +375,6 @@ mod tests {
             (a, b) => panic!("bucket popped {a:?}, heap popped {b:?}"),
         }
         x
-    }
-
-    /// Every queued entry as sorted `(f bits, node)` pairs, as
-    /// `for_each` visits them.
-    fn visited(q: &impl FrontierQueue) -> Vec<(u64, u32)> {
-        let mut seen = Vec::new();
-        q.for_each(|it| seen.push((it.f.to_bits(), it.node)));
-        seen.sort_unstable();
-        seen
     }
 
     #[test]
@@ -519,11 +481,6 @@ mod tests {
         assert!(q.pop().is_none());
         q.push(item(1.0, 3));
         assert_eq!(q.pop().unwrap().node, 3);
-        // for_each sees exactly the live entries.
-        q.push(item(2.0, 4));
-        q.push(item(50_000.0, 5));
-        let seen: Vec<u32> = visited(&q).into_iter().map(|(_, n)| n).collect();
-        assert_eq!(seen, vec![4, 5]);
     }
 
     fn splitmix64(mut x: u64) -> u64 {
@@ -542,8 +499,7 @@ mod tests {
         /// for the overflow tier, keys one ring lap past the last pop
         /// so a drained slot takes tick `t + RING`, interleaved pops —
         /// must produce the bit-identical pop sequence from both queues,
-        /// including the final drain, and `for_each` must visit exactly
-        /// the queued multiset.
+        /// including the final drain.
         #[test]
         fn matches_binary_heap_on_random_schedules(seed in 0u64..(1u64 << 48)) {
             let mut q = BucketQueue::new();
@@ -578,9 +534,6 @@ mod tests {
                     h.push(item(f, node));
                 }
                 prop_assert_eq!(q.len(), h.len());
-                if step % 50 == 49 {
-                    prop_assert_eq!(visited(&q), visited(&h));
-                }
             }
             while q.len() > 0 || h.len() > 0 {
                 assert_same_pop(&mut q, &mut h);

@@ -5,9 +5,9 @@
 //! glass routing congests around the bump fields — and renders it as an
 //! SVG heat map per layer.
 
-use crate::grid::{GridWindow, RoutingGrid};
+use crate::grid::RoutingGrid;
 use crate::report::InterposerLayout;
-use crate::router::{accumulate_path, base_blockage, LAYER_BIAS_UM, PRESENT_PENALTY_UM};
+use crate::router::{accumulate_path, base_blockage, PRESENT_PENALTY_UM};
 use crate::RouteError;
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -25,19 +25,10 @@ use techlib::spec::InterposerSpec;
 /// incrementally as paths commit, halving the random-access traffic of
 /// the relaxation loop. The values are produced by the *identical*
 /// floating-point expression, so search results stay bit-for-bit.
-///
-/// `floor2d` additionally caches, per lateral gcell, the cheapest
-/// congestion-plus-layer-bias any layer of that gcell charges a lateral
-/// entry — the ingredient of the corridor heuristic's admissible lower
-/// bound (see `router::route_with_margin`). It is refreshed alongside
-/// `penalty`, one `O(layers)` gcell recompute per touched node.
 #[derive(Debug, Clone)]
 pub struct CostField {
     /// Per node: `history + PRESENT_PENALTY_UM · max(0, usage + 1 − cap)`.
     pub penalty: Vec<f64>,
-    /// Per lateral gcell (`y · cols + x`): `min` over layers of
-    /// `LAYER_BIAS_UM · layer + penalty`.
-    pub floor2d: Vec<f64>,
 }
 
 #[inline]
@@ -53,7 +44,6 @@ impl CostField {
     pub fn build(grid: &RoutingGrid, usage: &[f64], history: &[f64]) -> CostField {
         let mut field = CostField {
             penalty: vec![0.0; grid.node_count()],
-            floor2d: vec![0.0; grid.cols * grid.rows],
         };
         field.rebuild(grid, usage, history);
         field
@@ -65,27 +55,9 @@ impl CostField {
         for node in 0..grid.node_count() {
             self.penalty[node] = node_penalty(grid, usage, history, node);
         }
-        let per = grid.cols * grid.rows;
-        for gcell in 0..per {
-            self.floor2d[gcell] = self.gcell_floor(grid, gcell);
-        }
     }
 
-    #[inline]
-    fn gcell_floor(&self, grid: &RoutingGrid, gcell: usize) -> f64 {
-        let per = grid.cols * grid.rows;
-        let mut floor = f64::INFINITY;
-        for l in 0..grid.layers {
-            let v = l as f64 * LAYER_BIAS_UM + self.penalty[l * per + gcell];
-            if v < floor {
-                floor = v;
-            }
-        }
-        floor
-    }
-
-    /// Refreshes one node's penalty (and its gcell's floor) after a
-    /// usage change.
+    /// Refreshes one node's penalty after a usage change.
     #[inline]
     pub fn refresh_node(
         &mut self,
@@ -95,8 +67,6 @@ impl CostField {
         node: usize,
     ) {
         self.penalty[node] = node_penalty(grid, usage, history, node);
-        let gcell = node % (grid.cols * grid.rows);
-        self.floor2d[gcell] = self.gcell_floor(grid, gcell);
     }
 
     /// Refreshes exactly the nodes a path commit (or rip-up) charged —
@@ -118,25 +88,6 @@ impl CostField {
                 self.refresh_node(grid, usage, history, grid.index(x1, y1, l1));
             }
         }
-    }
-
-    /// The cheapest lateral-entry excess (layer bias + congestion
-    /// penalty) over every gcell of `win`.
-    ///
-    /// Every lateral step of a path confined to `win` pays at least this
-    /// excess on top of its geometric step length, which is what makes
-    /// the corridor-scaled heuristic admissible (see DESIGN.md §16).
-    pub fn corridor_floor(&self, grid: &RoutingGrid, win: &GridWindow) -> f64 {
-        let mut floor = f64::INFINITY;
-        for y in win.y0..=win.y1 {
-            let row = y * grid.cols;
-            for &v in &self.floor2d[row + win.x0..=row + win.x1] {
-                if v < floor {
-                    floor = v;
-                }
-            }
-        }
-        floor
     }
 }
 
@@ -282,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_field_tracks_usage_and_witnesses_the_corridor_floor() {
+    fn cost_field_tracks_usage_and_refreshes_incrementally() {
         let layout = test_layout(InterposerKind::Glass25D);
         let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
         let grid = RoutingGrid::new(layout.placement.footprint_um, &spec).unwrap();
@@ -294,24 +245,12 @@ mod tests {
             let over = (usage[node] + 1.0 - grid.capacity).max(0.0);
             assert_eq!(field.penalty[node], history[node] + 200.0 * over);
         }
-        // The full-grid corridor floor is the smallest per-gcell floor,
-        // and on a fresh field it is zero (some gcell has a free layer-0
-        // entry).
-        let win = grid.window((0, 0), (grid.cols - 1, grid.rows - 1), 0);
-        let floor = field.corridor_floor(&grid, &win);
-        assert_eq!(
-            floor,
-            field.floor2d.iter().copied().fold(f64::INFINITY, f64::min)
-        );
-        assert_eq!(floor, 0.0);
         // An incremental refresh after a usage change matches a rebuild.
         let node = grid.index(grid.cols / 2, grid.rows / 2, 0);
         usage[node] += 40.0;
         field.refresh_node(&grid, &usage, &history, node);
         let fresh = CostField::build(&grid, &usage, &history);
         assert_eq!(field.penalty[node], fresh.penalty[node]);
-        let gcell = node % (grid.cols * grid.rows);
-        assert_eq!(field.floor2d[gcell], fresh.floor2d[gcell]);
     }
 
     #[test]

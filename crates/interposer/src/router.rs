@@ -26,14 +26,6 @@
 //!   array maintained incrementally as paths commit (same expression,
 //!   same rounding), halving the random-access traffic of the
 //!   relaxation loop.
-//! * **Corridor-scaled heuristic** — per window attempt, the cheapest
-//!   lateral-entry excess over the window's gcells (layer bias +
-//!   congestion floor, from `CostField::corridor_floor`) scales the
-//!   octile/Manhattan distance into a sharper still-admissible lower
-//!   bound: every in-window lateral step pays at least that excess on
-//!   top of its geometric length. On uncongested corridors the floor is
-//!   zero and the heuristic — and therefore every popped bit — is
-//!   unchanged.
 //! * **Reusable search scratch** (`SearchScratch`) — per-node search
 //!   state is allocated once per [`route_all`] call and *epoch-stamped*:
 //!   a search begins by bumping a generation counter, so resetting costs
@@ -180,7 +172,6 @@ struct SearchCounters {
     pops: u64,
     expansions: u64,
     window_fallbacks: u64,
-    heuristic_prunes: u64,
 }
 
 /// Bit of [`NodeState::stamp`] set when the node is expanded and
@@ -305,14 +296,10 @@ impl FastDiv {
 /// Returns the goal's settled cost, leaving the `prev` chain in
 /// `scratch` for reconstruction. Identical pop order and relaxation
 /// sequence to the historical full-grid router when `win` covers the
-/// grid and `hscale == 1.0`.
-///
-/// `hscale ≥ 1.0` multiplies the geometric heuristic into the corridor-
-/// scaled lower bound of the caller (see [`route_with_margin`]); it
-/// affects only the *queue keys*, never the relaxed `dist` values.
+/// grid.
 ///
 /// `pruned_min` is set to the smallest admissible f-value (`g` + step +
-/// layer bias + plain `h`, congestion ≥ 0 dropped) among the moves the
+/// layer bias + `h`, congestion ≥ 0 dropped) among the moves the
 /// *window* rejected — moves off the grid itself don't count, the
 /// full-grid search rejects those too. It is the search's certificate:
 /// with a consistent heuristic, any full-grid path cheaper than the
@@ -320,21 +307,13 @@ impl FastDiv {
 /// bound undercuts it, so a goal cost strictly below `pruned_min` *is*
 /// the full-grid optimum (and, because equal-cost ties are excluded,
 /// the reconstructed path is the one the full-grid search would have
-/// returned, prev-pointer for prev-pointer). Under a sharpened
-/// heuristic (`hscale > 1.0`) the corridor floor is window-local, so a
-/// successful search additionally folds `dist + h` over every
-/// *unpopped* frontier entry into `pruned_min`: any full-grid path the
-/// sharpened search did not examine either crosses the window boundary
-/// (recorded above) or passes through a relaxed-but-unexpanded node
-/// still in the frontier (folded here), so the combined bound is a true
-/// full-grid certificate — `window_fallbacks` semantics survive the
-/// sharper heuristic.
+/// returned, prev-pointer for prev-pointer).
 ///
 /// Stale entries: relaxations strictly lower `dist`, so a node's queued
 /// entries were pushed with distinct distances, and only the newest
 /// carries today's. A popped entry is skipped when its node is closed
 /// (expanded, and not relaxed since) or when its `f` is not bit-equal to
-/// `dist + h(x, y) · hscale` recomputed now — the very expression the
+/// `dist + h(x, y)` recomputed now — the very expression the
 /// push evaluated, so the newest entry always matches and an older one
 /// matches only if rounding made its key collide with the newest bit for
 /// bit. Colliding entries are the same `(f, node)` item, so whichever
@@ -352,7 +331,6 @@ fn astar<Q: FrontierQueue>(
     goal: usize,
     target: (usize, usize),
     win: &GridWindow,
-    hscale: f64,
     pruned_min: &mut f64,
 ) -> Option<f64> {
     *pruned_min = f64::INFINITY;
@@ -432,7 +410,7 @@ fn astar<Q: FrontierQueue>(
         // The heuristic at the popped gcell, which is also every via
         // target's gcell.
         let h_here = h(x, y);
-        if node != start && f.to_bits() != (d + h_here * hscale).to_bits() {
+        if node != start && f.to_bits() != (d + h_here).to_bits() {
             continue;
         }
         nodes[node].stamp = gen | CLOSED;
@@ -455,8 +433,7 @@ fn astar<Q: FrontierQueue>(
             let (nx, ny) = (nx as usize, ny as usize);
             if nx < win.x0 || ny < win.y0 || nx > win.x1 || ny > win.y1 {
                 // In the grid but outside the window: record the
-                // certificate bound this pruned move witnesses (plain
-                // h — outside the window the corridor floor is void).
+                // certificate bound this pruned move witnesses.
                 let lb = d + step + layer_bias + h(nx, ny);
                 if lb < *pruned_min {
                     *pruned_min = lb;
@@ -476,7 +453,7 @@ fn astar<Q: FrontierQueue>(
                     stamp: gen,
                 };
                 frontier.push(FrontierItem {
-                    f: nd + h(nx, ny) * hscale,
+                    f: nd + h(nx, ny),
                     node: ni as u32,
                 });
             }
@@ -518,7 +495,7 @@ fn astar<Q: FrontierQueue>(
                     stamp: gen,
                 };
                 frontier.push(FrontierItem {
-                    f: nd + h_here * hscale,
+                    f: nd + h_here,
                     node: ni as u32,
                 });
             }
@@ -528,25 +505,6 @@ fn astar<Q: FrontierQueue>(
     }
     counters.pops += pops;
     counters.expansions += expansions;
-    if hscale > 1.0 && found.is_some() {
-        // Certificate repair for the sharpened heuristic: fold the
-        // plain-h lower bound of every unexpanded frontier node into
-        // the pruned minimum (see the doc comment). Every entry counted
-        // here is an expansion the sharper bound saved.
-        let mut remaining = 0u64;
-        frontier.for_each(|item| {
-            remaining += 1;
-            let state = &nodes[item.node as usize];
-            if state.live(gen) {
-                let (ix, iy, _) = grid.decompose(item.node as usize);
-                let lb = state.dist + h(ix, iy);
-                if lb < *pruned_min {
-                    *pruned_min = lb;
-                }
-            }
-        });
-        counters.heuristic_prunes += remaining;
-    }
     found
 }
 
@@ -557,16 +515,6 @@ fn astar<Q: FrontierQueue>(
 /// as provably-optimal or window-constrained for observability.
 /// `initial_margin = usize::MAX` forces a single full-grid search (the
 /// historical behaviour; used by the coverage tests as the reference).
-///
-/// Each window attempt sharpens the heuristic with the corridor floor:
-/// the cheapest lateral-entry excess (layer bias + congestion penalty)
-/// any in-window node charges. Every lateral step of an in-window path
-/// pays at least `1 + floor / max_step` times its geometric cost — with
-/// `max_step` the largest preferred-direction step length the heuristic
-/// already assumes — so scaling `h` by that factor stays admissible and
-/// consistent (DESIGN.md §16). On a fresh corridor the floor is 0, the
-/// scale is exactly 1.0, and every search bit matches the historical
-/// router.
 fn route_with_margin<Q: FrontierQueue>(
     placement: &DiePlacement,
     grid: &RoutingGrid,
@@ -581,22 +529,11 @@ fn route_with_margin<Q: FrontierQueue>(
     let (tx, ty) = grid.gcell_of(t.0, t.1);
     let start = grid.index(sx, sy, 0);
     let goal = grid.index(tx, ty, 0);
-    let max_step = if grid.diagonal {
-        grid.gcell_um * std::f64::consts::SQRT_2
-    } else {
-        grid.gcell_um
-    };
 
     let mut margin = initial_margin;
     loop {
         let win = grid.window((sx, sy), (tx, ty), margin);
         let full = win.covers(grid);
-        let floor = cost.corridor_floor(grid, &win);
-        let hscale = if floor > 0.0 {
-            1.0 + floor / max_step
-        } else {
-            1.0
-        };
         let mut pruned_min = f64::INFINITY;
         let found = astar(
             scratch,
@@ -606,7 +543,6 @@ fn route_with_margin<Q: FrontierQueue>(
             goal,
             (tx, ty),
             &win,
-            hscale,
             &mut pruned_min,
         );
         match found {
@@ -898,10 +834,6 @@ fn route_all_impl(
     techlib::obs::add(
         techlib::obs::ROUTER_INCREMENTAL_REROUTES,
         incremental_reroutes,
-    );
-    techlib::obs::add(
-        techlib::obs::ROUTER_HEURISTIC_PRUNES,
-        totals.heuristic_prunes,
     );
     Ok(routed)
 }
@@ -1200,7 +1132,9 @@ mod tests {
     /// nets see realistic congestion. Windowed paths may legitimately
     /// differ from full-grid ones when the window clips a congestion
     /// detour, so the aggregate wirelength is only required to stay
-    /// within a band of the full-grid reference.
+    /// within a band of the full-grid reference. A windowed acceptance
+    /// the certificate proves optimal (no `window_fallbacks` bump) must
+    /// return the full-grid path itself, prev-pointer for prev-pointer.
     fn assert_windowed_covers_full_grid(p: &DiePlacement) {
         let spec = InterposerSpec::for_kind(p.tech);
         let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
@@ -1212,12 +1146,17 @@ mod tests {
         let mut scratch: SearchScratch = SearchScratch::new(n);
         let (mut len_win, mut len_full) = (0.0f64, 0.0f64);
         for net in &p.nets {
+            let fallbacks = scratch.counters.window_fallbacks;
             let windowed = route_traced(p, &grid, net, &cost, &mut scratch);
+            let certified = scratch.counters.window_fallbacks == fallbacks;
             let full = route_with_margin(p, &grid, net, &cost, &mut scratch, usize::MAX);
             match (&windowed, &full) {
                 (Some(w), Some(f)) => {
                     assert_eq!(w.path.first(), f.path.first(), "net {} start", net.id);
                     assert_eq!(w.path.last(), f.path.last(), "net {} goal", net.id);
+                    if certified {
+                        assert_eq!(w.path, f.path, "net {}: certified path", net.id);
+                    }
                     // Every step moves one gcell laterally or one layer.
                     for pair in w.path.windows(2) {
                         let (x0, y0, l0) = pair[0];
@@ -1416,7 +1355,6 @@ mod tests {
                 t_node,
                 (12, 9),
                 &win,
-                1.0,
                 &mut pruned_min,
             );
             (cost, scratch.counters.pops, scratch.counters.expansions)
@@ -1483,7 +1421,6 @@ mod tests {
             t,
             (12, 9),
             &full,
-            1.0,
             &mut pruned_min,
         );
         assert!(cost.is_some());
@@ -1499,41 +1436,9 @@ mod tests {
             t,
             (12, 9),
             &tight,
-            1.0,
             &mut pruned_min,
         );
         assert!(cost_tight.is_some());
         assert!(pruned_min.is_finite(), "window boundary was reached");
-
-        // A sharpened search on a congested window still terminates with
-        // a sound certificate: the frontier fold leaves a finite bound
-        // (the unexpanded entries are real full-grid candidates) and
-        // counts them as heuristic prunes.
-        let mut hot = usage.clone();
-        for u in &mut hot {
-            *u += 30.0; // every gcell over capacity → floor > 0
-        }
-        let hot_field = CostField::build(&grid, &hot, &history);
-        let win = grid.window((3, 3), (12, 9), 2);
-        let floor = hot_field.corridor_floor(&grid, &win);
-        assert!(floor > 0.0, "saturated corridor must have a nonzero floor");
-        let hscale = 1.0 + floor / grid.gcell_um;
-        let before = scratch.counters.heuristic_prunes;
-        let sharp = astar(
-            &mut scratch,
-            &grid,
-            &hot_field,
-            s,
-            t,
-            (12, 9),
-            &win,
-            hscale,
-            &mut pruned_min,
-        );
-        assert!(sharp.is_some());
-        assert!(
-            scratch.counters.heuristic_prunes > before,
-            "sharpened search should leave unexpanded frontier entries"
-        );
     }
 }

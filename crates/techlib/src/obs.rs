@@ -133,19 +133,15 @@ pub const SERVE_SLOW_CLIENT_ABORTS: Counter = Counter(21);
 /// Responses aborted because the client stalled the write past the
 /// whole-response budget.
 pub const SERVE_WRITE_TIMEOUTS: Counter = Counter(22);
-/// Frontier entries left unexpanded at goal settlement because the
-/// corridor-sharpened heuristic priced them past the goal — expansions
-/// the plain heuristic would have paid for.
-pub const ROUTER_HEURISTIC_PRUNES: Counter = Counter(23);
 /// Tasks handed to the fan-out pool by [`crate::par`] (one per `join`
 /// second branch, one per extra `ordered_map` claim loop).
-pub const PAR_TASKS: Counter = Counter(24);
+pub const PAR_TASKS: Counter = Counter(23);
 /// Submitted fan-out tasks that a pool worker ran; the rest were taken
 /// back and run by the submitting thread itself.
-pub const PAR_TASKS_ON_POOL: Counter = Counter(25);
+pub const PAR_TASKS_ON_POOL: Counter = Counter(24);
 
 /// Names of every registered counter, indexed by [`Counter`] handle.
-pub const COUNTER_NAMES: [&str; 26] = [
+pub const COUNTER_NAMES: [&str; 25] = [
     "router.nets_routed",
     "thermal.sor_sweeps",
     "circuit.lu_factor",
@@ -169,7 +165,6 @@ pub const COUNTER_NAMES: [&str; 26] = [
     "serve.conn_rejected",
     "serve.slow_client_aborts",
     "serve.write_timeouts",
-    "router.heuristic_prunes",
     "par.tasks",
     "par.tasks_on_pool",
 ];
@@ -599,7 +594,8 @@ mod tests {
         assert_eq!(SERVE_CONN_REJECTED.name(), "serve.conn_rejected");
         assert_eq!(SERVE_SLOW_CLIENT_ABORTS.name(), "serve.slow_client_aborts");
         assert_eq!(SERVE_WRITE_TIMEOUTS.name(), "serve.write_timeouts");
-        assert_eq!(ROUTER_HEURISTIC_PRUNES.name(), "router.heuristic_prunes");
+        assert_eq!(PAR_TASKS.name(), "par.tasks");
+        assert_eq!(PAR_TASKS_ON_POOL.name(), "par.tasks_on_pool");
         for name in COUNTER_NAMES {
             assert!(name.contains('.'), "counter {name:?} is stage-qualified");
         }

@@ -230,6 +230,54 @@ fn a_full_queue_rejects_with_429_and_retry_after() {
         .expect("clean server exit");
 }
 
+/// `queue_depth` counts only *waiting* jobs: with no waiting room an
+/// idle worker still takes a sweep, and only a second sweep arriving
+/// while the first runs is turned away.
+#[test]
+fn a_zero_depth_queue_still_admits_one_sweep_per_worker() {
+    let (addr, handle) = start_server(ServeConfig {
+        workers: 1,
+        queue_depth: 0,
+        ..ServeConfig::default()
+    });
+    let (status, _, body) = request(addr, "POST", "/sweep", &[], "[]");
+    assert_eq!(status, 200, "idle server: {body}");
+    assert_eq!(body, "[]\n");
+    std::thread::scope(|scope| {
+        let held = scope.spawn(|| {
+            request(
+                addr,
+                "POST",
+                "/sweep",
+                &[("X-Codesign-Hold-Ms", "2500")],
+                "[]",
+            )
+        });
+        wait_for_stat(addr, "in_flight", 1);
+        let (status, headers, body) = request(addr, "POST", "/sweep", &[], "[]");
+        assert_eq!(status, 429, "{body}");
+        assert_eq!(
+            headers
+                .iter()
+                .find(|(name, _)| name == "retry-after")
+                .map(|(_, value)| value.as_str()),
+            Some("1"),
+            "429 must carry Retry-After"
+        );
+        let (status, _, body) = held.join().expect("held client");
+        assert_eq!(status, 200, "{body}");
+    });
+    assert_eq!(stats_field(addr, "rejected"), 1);
+    assert_eq!(stats_field(addr, "completed"), 2);
+
+    let (status, _, _) = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(status, 200);
+    handle
+        .join()
+        .expect("server thread")
+        .expect("clean server exit");
+}
+
 #[test]
 fn an_expired_deadline_yields_typed_rows_and_the_pool_survives() {
     let reference = cli_reference(CLEAN_SWEEP, "deadline");
