@@ -7,18 +7,25 @@
 //! (`Scenario::paper` for every packaged technology). Each sample times
 //! `RENDERS` calls one by one; the line printed per body is the median
 //! call. This is the rendering share of a warm `serve` request (the
-//! traced `batch.render_ms` layer metric). Run with
+//! traced `batch.render_ms` layer metric).
+//!
+//! Two more cases time the Silicon 2.5D routed layout, the largest
+//! stored artifact: its write, and its parse back, text →
+//! `InterposerLayout` through `serde_json::from_str_typed` (what every
+//! `--cache-dir` disk hit does), then their ratio. Run with
 //! `cargo bench -p bench --bench render_kernel`.
 
 use codesign::batch;
+use codesign::context::StudyContext;
 use codesign::scenario::scenarios_from_json;
 use codesign::Scenario;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
+use interposer::report::InterposerLayout;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use techlib::spec::InterposerKind;
 
-/// `sweep_json` calls timed per criterion sample.
+/// Calls timed per criterion sample.
 const RENDERS: usize = 100;
 
 const SMOKE: &str = include_str!(concat!(
@@ -44,28 +51,62 @@ fn bench_render_kernel(c: &mut Criterion) {
         let bytes = batch::sweep_json(&scenarios, &outcomes)
             .expect("studies serialize")
             .len();
-        let mut calls: Vec<Duration> = Vec::new();
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                for _ in 0..RENDERS {
-                    let start = Instant::now();
-                    black_box(batch::sweep_json(&scenarios, &outcomes).expect("studies serialize"));
-                    calls.push(start.elapsed());
-                }
-            })
+        time_calls(&mut g, name, "sweep_json", bytes, || {
+            batch::sweep_json(&scenarios, &outcomes).expect("studies serialize")
         });
-        calls.sort_unstable();
-        let median = calls[calls.len() / 2].as_secs_f64();
-        println!(
-            "{:<40} {:>8.1} us/sweep_json  {:>6.2} ns/byte  ({} bytes, median of {})",
-            format!("render_kernel/{name}"),
-            median * 1e6,
-            median * 1e9 / bytes as f64,
-            bytes,
-            calls.len(),
-        );
     }
+
+    let layout = StudyContext::paper()
+        .layout(InterposerKind::Silicon25D)
+        .expect("the Silicon 2.5D layout routes");
+    let text = serde_json::to_string(&*layout).expect("the layout serializes");
+    let write = time_calls(&mut g, "layout_write", "write", text.len(), || {
+        serde_json::to_string(&*layout).expect("the layout serializes")
+    });
+    let parse = time_calls(&mut g, "layout_parse", "parse", text.len(), || {
+        serde_json::from_str_typed::<InterposerLayout>(black_box(&text)).expect("the layout parses")
+    });
+    println!(
+        "{:<40} {:>8.2} parse/write",
+        "render_kernel/layout",
+        parse / write
+    );
     g.finish();
+}
+
+/// Times `call` `RENDERS` times per criterion sample under `id`, one
+/// call at a time (the drop of its result is not timed), and prints the
+/// median call in µs and in ns per byte of `bytes`. Returns the median
+/// in seconds.
+fn time_calls<T>(
+    g: &mut BenchmarkGroup<'_>,
+    id: &str,
+    op: &str,
+    bytes: usize,
+    mut call: impl FnMut() -> T,
+) -> f64 {
+    let mut calls: Vec<Duration> = Vec::new();
+    g.bench_function(id, |b| {
+        b.iter(|| {
+            for _ in 0..RENDERS {
+                let start = Instant::now();
+                let out = call();
+                calls.push(start.elapsed());
+                black_box(out);
+            }
+        })
+    });
+    calls.sort_unstable();
+    let median = calls[calls.len() / 2].as_secs_f64();
+    println!(
+        "{:<40} {:>8.1} us/{op}  {:>6.2} ns/byte  ({} bytes, median of {})",
+        format!("render_kernel/{id}"),
+        median * 1e6,
+        median * 1e9 / bytes as f64,
+        bytes,
+        calls.len(),
+    );
+    median
 }
 
 criterion_group!(render_kernel, bench_render_kernel);

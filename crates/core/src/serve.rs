@@ -89,7 +89,9 @@
 //!
 //! `POST /sweep` also honours `X-Codesign-Hold-Ms`, an artificial
 //! service-time pad used by the load generator and the integration
-//! tests to shape queue contention deterministically.
+//! tests to shape queue contention deterministically. The pad ends
+//! early at the request's deadline or at shutdown, so it cannot stall
+//! the drain.
 
 use crate::batch;
 use crate::context::{FrontEnd, StudyContext};
@@ -889,7 +891,11 @@ fn execute(shared: &Shared, job: &Job) -> Response {
     let _span = techlib::obs::span("serve.request");
     let _deadline = job.deadline.map(techlib::cancel::deadline_at);
     if let Some(hold) = job.hold {
-        std::thread::sleep(hold);
+        let end = Instant::now() + hold;
+        hold_until(
+            shared,
+            job.deadline.map_or(end, |deadline| deadline.min(end)),
+        );
     }
     let scenarios = match scenarios_from_json(&job.body) {
         Ok(scenarios) => scenarios,
@@ -935,6 +941,23 @@ fn execute(shared: &Shared, job: &Job) -> Response {
         Err(e) => Response::json(500, error_body(&e.to_string())),
     }
 }
+
+/// The artificial hold: sleeps until `end` (the hold's end or the
+/// request's deadline, whichever is first) or shutdown, so a long hold
+/// can neither outlive its deadline nor stall the drain. Shutdown is
+/// checked every [`HOLD_POLL`]; the held job then runs as usual.
+fn hold_until(shared: &Shared, end: Instant) {
+    while !shared.shutdown.load(Ordering::Relaxed) {
+        let left = end.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        std::thread::sleep(left.min(HOLD_POLL));
+    }
+}
+
+/// How often a held job checks for shutdown.
+const HOLD_POLL: Duration = Duration::from_millis(5);
 
 // ---------------------------------------------------------------------
 // HTTP handling.

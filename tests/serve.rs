@@ -2,8 +2,9 @@
 //! byte-identity with `codesign sweep --json`, queue-full backpressure
 //! (429 + Retry-After), per-request deadlines surfacing as typed
 //! `FlowError::Deadline` rows (status 504) with the context pool still
-//! reusable afterwards, graceful drain on `POST /shutdown`, and a
-//! disk-backed store that keeps a restarted server warm.
+//! reusable afterwards, graceful drain on `POST /shutdown` (which also
+//! cuts an artificial hold short), and a disk-backed store that keeps a
+//! restarted server warm.
 
 use codesign::serve::{ServeConfig, Server};
 use std::io::{Read as _, Write as _};
@@ -352,6 +353,47 @@ fn shutdown_drains_in_flight_work() {
         .join()
         .expect("server thread")
         .expect("clean server exit");
+}
+
+/// The artificial hold pads service time but cannot wedge the drain: a
+/// held job ends its hold at shutdown and still answers its client in
+/// full, and `run` returns long before the hold would have ended. The
+/// server and the held client run on detached threads, so a wedged
+/// drain fails the test at the timeout instead of hanging it.
+#[test]
+fn shutdown_cuts_a_long_hold_short() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind an ephemeral port");
+    let addr = server.local_addr();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.run());
+    });
+    let held = std::thread::spawn(move || {
+        request(
+            addr,
+            "POST",
+            "/sweep",
+            &[("X-Codesign-Hold-Ms", "600000")],
+            "[]",
+        )
+    });
+    wait_for_stat(addr, "in_flight", 1);
+    let (status, _, _) = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(status, 200);
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run returns within 10 s of shutdown despite a 600 s hold")
+        .expect("clean server exit");
+    let (status, _, body) = held.join().expect("held client");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, "[]\n");
 }
 
 /// With [`ServeConfig::cache_dir`] the warm pool survives a restart: a

@@ -5,6 +5,12 @@
 //! median round trip of `GET /healthz` is held well under the loop's
 //! 5 ms flag-check interval.
 //!
+//! A busy machine can push one round's median over the limit, so the
+//! test runs up to [`ROUNDS`] rounds and fails only when every round's
+//! median is over. That still catches a loop that sleeps 5 ms between
+//! accepts: a sample then beats the limit with p ≈ 0.24, so a round's
+//! median of 60 does with probability about 10⁻⁶.
+//!
 //! Its own test binary, so no CPU-heavy study runs beside the timing.
 
 use codesign::serve::{ServeConfig, Server};
@@ -13,6 +19,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const REQUESTS: usize = 60;
+const ROUNDS: usize = 3;
 const PAUSE: Duration = Duration::from_millis(7);
 const MEDIAN_LIMIT: Duration = Duration::from_micros(1_500);
 
@@ -34,12 +41,9 @@ fn round_trip(addr: SocketAddr, method: &str, path: &str) -> (String, Duration) 
     (status, elapsed)
 }
 
-#[test]
-fn idle_server_accepts_fresh_connections_at_once() {
-    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run());
-
+/// One round: `REQUESTS` health checks on fresh connections, each after
+/// a pause, sorted by round trip.
+fn round(addr: SocketAddr) -> Vec<Duration> {
     let mut times = Vec::with_capacity(REQUESTS);
     for _ in 0..REQUESTS {
         std::thread::sleep(PAUSE);
@@ -48,7 +52,32 @@ fn idle_server_accepts_fresh_connections_at_once() {
         times.push(elapsed);
     }
     times.sort();
-    let median = times[REQUESTS / 2];
+    times
+}
+
+#[test]
+fn idle_server_accepts_fresh_connections_at_once() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+
+    // Stops at the first round under the limit; on failure the report
+    // names every round.
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    let mut passed = false;
+    for _ in 0..ROUNDS {
+        let times = round(addr);
+        let median = times[REQUESTS / 2];
+        rounds.push(format!(
+            "median {median:?} (fastest {:?}, slowest {:?})",
+            times[0],
+            times[REQUESTS - 1]
+        ));
+        passed = median < MEDIAN_LIMIT;
+        if passed {
+            break;
+        }
+    }
 
     let (status, _) = round_trip(addr, "POST", "/shutdown");
     assert!(status.contains(" 200 "), "shutdown answered {status:?}");
@@ -57,11 +86,11 @@ fn idle_server_accepts_fresh_connections_at_once() {
         .expect("server thread")
         .expect("run returns Ok after drain");
 
+    println!("{}", rounds.join("; "));
     assert!(
-        median < MEDIAN_LIMIT,
-        "median /healthz round trip {median:?} on an idle server (limit {MEDIAN_LIMIT:?}); \
-         fastest {:?}, slowest {:?}",
-        times[0],
-        times[REQUESTS - 1]
+        passed,
+        "every round's median /healthz round trip on an idle server is over the \
+         {MEDIAN_LIMIT:?} limit: {}",
+        rounds.join("; ")
     );
 }

@@ -417,3 +417,78 @@ fn fault_armed_scenarios_never_touch_the_store() {
         "fault-armed sweep wrote disk entries: {entries:?}"
     );
 }
+
+/// Every artifact in the disk tier decodes and re-encodes to exactly
+/// the bytes of its file, so a disk hit hands later stages the very
+/// value the cold run stored. A cold Silicon 2.5D sweep fills the tier;
+/// a fresh store over the same directory then reads each stage's
+/// artifact back, with no recomputation.
+#[test]
+fn disk_artifacts_re_encode_to_their_file_bytes() {
+    let dir = temp_dir("reencode");
+    let scenario = Scenario::paper(InterposerKind::Silicon25D);
+    let scenarios = std::slice::from_ref(&scenario);
+    let cold = Arc::new(ArtifactStore::with_disk(&dir).unwrap());
+    let outcomes = batch::run_with_store(scenarios, Some(cold)).unwrap();
+    assert!(outcomes[0].is_ok(), "cold sweep failed: {:?}", outcomes[0]);
+
+    let store = Arc::new(ArtifactStore::with_disk(&dir).unwrap());
+    let frontend = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
+    let ctx = StudyContext::for_scenario_with(&scenario, frontend, Some(Arc::clone(&store)));
+    let tech = scenario.tech();
+    let spec = ctx.spec(tech).clone();
+    let (l2m, l2l) = codesign::table5::channels_for_in(&ctx, tech, scenario.mode()).unwrap();
+    let artifacts: Vec<(&str, techlib::store::StoreKey, String)> = vec![
+        (
+            "split",
+            FrontEnd::split_key(),
+            encode(&*ctx.split().unwrap()),
+        ),
+        (
+            "netlists",
+            FrontEnd::netlists_key(),
+            encode(&*ctx.chiplet_netlists().unwrap()),
+        ),
+        (
+            "reports",
+            chiplet::report::reports_store_key(&spec, FrontEnd::netlists_key()),
+            encode(&*ctx.chiplet_reports(tech).unwrap()),
+        ),
+        (
+            "layout",
+            interposer::report::layout_store_key(&spec),
+            encode(&*ctx.layout(tech).unwrap()),
+        ),
+        (
+            "links",
+            codesign::table5::links_store_key(&ctx, tech, &l2m, &l2l),
+            encode(&*ctx.links_row(tech, scenario.mode()).unwrap()),
+        ),
+        (
+            "thermal",
+            thermal::report::thermal_store_key(&spec),
+            encode(&*ctx.thermal_report(tech).unwrap()),
+        ),
+    ];
+    let stats = store.stats();
+    assert_eq!(stats.misses, 0, "a stage recomputed: {stats:?}");
+    assert_eq!(stats.disk_hits, 6, "every stage read from disk: {stats:?}");
+
+    let disk = store.disk_dir().unwrap();
+    for (stage, key, encoded) in &artifacts {
+        let file = std::fs::read_to_string(disk.join(format!("{}.json", key.hex()))).unwrap();
+        assert!(
+            *encoded == file,
+            "{stage}: the decoded artifact re-encodes to {} bytes, its file has {}",
+            encoded.len(),
+            file.len()
+        );
+    }
+    let files = std::fs::read_dir(disk).unwrap().count();
+    assert_eq!(files, artifacts.len(), "a stored artifact went unchecked");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn encode<T: serde::Serialize>(artifact: &T) -> String {
+    serde_json::to_string(artifact).expect("artifacts serialize")
+}
