@@ -24,6 +24,11 @@ cargo test -q
 echo "==> cargo test --release -q -p thermal"
 cargo test --release -q -p thermal
 
+# The JSON writer's number fast paths must match `Display` byte for
+# byte under the optimised codegen too, not only in the debug build.
+echo "==> cargo test --release -q -p serde -p serde_json"
+cargo test --release -q -p serde -p serde_json
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -9,6 +9,10 @@
 //! call. This is the rendering share of a warm `serve` request (the
 //! traced `batch.render_ms` layer metric).
 //!
+//! The `floats` case writes the smoke body's floats, collected once
+//! into a `Vec<f64>`, with `serde_json::to_string`, and also reports ns
+//! per float: the number-formatting share of a render.
+//!
 //! Two more cases time the Silicon 2.5D routed layout, the largest
 //! stored artifact: its write, and its parse back, text →
 //! `InterposerLayout` through `serde_json::from_str_typed` (what every
@@ -21,6 +25,7 @@ use codesign::scenario::scenarios_from_json;
 use codesign::Scenario;
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use interposer::report::InterposerLayout;
+use serde_json::{Number, Value};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use techlib::spec::InterposerKind;
@@ -46,15 +51,33 @@ fn bench_render_kernel(c: &mut Criterion) {
     ];
     let mut g = c.benchmark_group("render_kernel");
     g.sample_size(5);
+    let mut smoke_body = String::new();
     for (name, scenarios) in bodies {
         let outcomes = batch::run(&scenarios).expect("the batch runs");
-        let bytes = batch::sweep_json(&scenarios, &outcomes)
-            .expect("studies serialize")
-            .len();
-        time_calls(&mut g, name, "sweep_json", bytes, || {
+        let body = batch::sweep_json(&scenarios, &outcomes).expect("studies serialize");
+        time_calls(&mut g, name, "sweep_json", body.len(), || {
             batch::sweep_json(&scenarios, &outcomes).expect("studies serialize")
         });
+        if name == "smoke" {
+            smoke_body = body;
+        }
     }
+
+    let mut floats = Vec::new();
+    collect_floats(
+        &serde_json::from_str(&smoke_body).expect("the smoke body parses"),
+        &mut floats,
+    );
+    let text = serde_json::to_string(&floats).expect("floats serialize");
+    let write = time_calls(&mut g, "floats", "write", text.len(), || {
+        serde_json::to_string(black_box(&floats)).expect("floats serialize")
+    });
+    println!(
+        "{:<40} {:>8.1} ns/float  ({} floats)",
+        "render_kernel/floats",
+        write * 1e9 / floats.len() as f64,
+        floats.len()
+    );
 
     let layout = StudyContext::paper()
         .layout(InterposerKind::Silicon25D)
@@ -72,6 +95,16 @@ fn bench_render_kernel(c: &mut Criterion) {
         parse / write
     );
     g.finish();
+}
+
+/// Appends every float in `value` to `out`, in document order.
+fn collect_floats(value: &Value, out: &mut Vec<f64>) {
+    match value {
+        Value::Number(Number::F64(x)) => out.push(*x),
+        Value::Array(items) => items.iter().for_each(|v| collect_floats(v, out)),
+        Value::Object(pairs) => pairs.iter().for_each(|(_, v)| collect_floats(v, out)),
+        _ => {}
+    }
 }
 
 /// Times `call` `RENDERS` times per criterion sample under `id`, one

@@ -128,18 +128,23 @@ pub fn sweep_json(
             reason: format!("sweep serialization: {e}"),
         })
     }
-    let mut entries = Vec::with_capacity(scenarios.len());
-    for (scenario, outcome) in scenarios.iter().zip(outcomes) {
-        let body = match outcome {
-            Ok(study) => format!("\"study\":{}", to_json(study)?),
-            Err(e) => format!("\"error\":{}", to_json(&e.to_string())?),
+    let mut out = String::from("[");
+    for (i, (scenario, outcome)) in scenarios.iter().zip(outcomes).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"scenario\":");
+        out.push_str(&to_json(&scenario.name())?);
+        let (key, value) = match outcome {
+            Ok(study) => (",\"study\":", to_json(study)?),
+            Err(e) => (",\"error\":", to_json(&e.to_string())?),
         };
-        entries.push(format!(
-            "{{\"scenario\":{},{body}}}",
-            to_json(&scenario.name())?
-        ));
+        out.push_str(key);
+        out.push_str(&value);
+        out.push('}');
     }
-    Ok(format!("[{}]", entries.join(",")))
+    out.push(']');
+    Ok(out)
 }
 
 /// Runs `scenario` inside `ctx`, arming its fault sites (if any) in a

@@ -500,29 +500,9 @@ impl Response {
 }
 
 fn error_body(message: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    push_json_string(&mut out, message);
-    out.push_str("}\n");
-    out
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    // A string always serializes; `null` keeps the body JSON regardless.
+    let message = serde_json::to_string(message).unwrap_or_else(|_| "null".into());
+    format!("{{\"error\":{message}}}\n")
 }
 
 // ---------------------------------------------------------------------
@@ -937,7 +917,10 @@ fn execute(shared: &Shared, job: &Job) -> Response {
     match batch::sweep_json(&scenarios, &outcomes) {
         // `sweep --json` prints the array plus a newline; the response
         // body reproduces the CLI's stdout byte for byte.
-        Ok(array) => Response::json(if deadline_hit { 504 } else { 200 }, array + "\n"),
+        Ok(mut body) => {
+            body.push('\n');
+            Response::json(if deadline_hit { 504 } else { 200 }, body)
+        }
         Err(e) => Response::json(500, error_body(&e.to_string())),
     }
 }

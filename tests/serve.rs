@@ -3,8 +3,8 @@
 //! (429 + Retry-After), per-request deadlines surfacing as typed
 //! `FlowError::Deadline` rows (status 504) with the context pool still
 //! reusable afterwards, graceful drain on `POST /shutdown` (which also
-//! cuts an artificial hold short), and a disk-backed store that keeps a
-//! restarted server warm.
+//! cuts an artificial hold short), a disk-backed store that keeps a
+//! restarted server warm, and error bodies that stay JSON.
 
 use codesign::serve::{ServeConfig, Server};
 use std::io::{Read as _, Write as _};
@@ -436,4 +436,23 @@ fn a_restarted_server_answers_from_the_disk_tier() {
             .expect("clean server exit");
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Error bodies stay JSON whatever the message echoes: a path with a raw
+/// backspace comes back in a 404 body that parses, with the byte intact
+/// in its `error` string.
+#[test]
+fn a_control_byte_in_the_path_comes_back_in_a_parseable_error() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    let (status, _, body) = request(addr, "GET", "/no\u{8}where", &[], "");
+    assert_eq!(status, 404, "{body}");
+    let doc = serde_json::from_str(&body).expect("the error body parses");
+    let error = doc["error"].as_str().expect("an error string");
+    assert!(error.contains('\u{8}'), "{error:?}");
+    let (status, _, _) = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(status, 200);
+    handle
+        .join()
+        .expect("server thread")
+        .expect("clean server exit");
 }
