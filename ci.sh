@@ -40,7 +40,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # allow). Errors flow through the typed FlowError vocabulary instead.
 # --no-deps keeps the gate off the vendored path dependencies.
 echo "==> cargo clippy (panic-free library gate)"
-cargo clippy --no-deps -p circuit -p interposer -p thermal -p netlist -p chiplet -p pi -p si -- \
+cargo clippy --no-deps -p circuit -p interposer -p thermal -p netlist -p chiplet -p pi -p si \
+    -p techlib -p codesign -- \
     -D clippy::unwrap_used -D clippy::expect_used
 
 # End-to-end CLI smoke: a two-scenario sweep with JSON output and a

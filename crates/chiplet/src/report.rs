@@ -10,37 +10,27 @@ use netlist::chiplet_netlist::ChipletNetlist;
 use serde::{Deserialize, Serialize};
 use techlib::calib;
 use techlib::spec::{InterposerKind, InterposerSpec};
-use techlib::store::{SpecField, StoreKey};
+use techlib::store::{SpecField, Stage};
 
-/// Algorithm version of the chiplet-reports stage (bump plan, footprint
-/// solve, timing/wirelength/power models for the logic+memory pair).
-/// Bump whenever any of those models or the serialized shape of
-/// [`ChipletReport`] changes.
-pub const REPORTS_STAGE_VERSION: u32 = 1;
-
-/// The spec fields the chiplet pair analysis actually consumes: the
-/// technology (timing/power calibration and width-matching are keyed on
-/// `kind`), the stacking style, and the micro-bump pitch (bump-plan
-/// geometry). Interposer wire rules and dielectric properties are
-/// irrelevant here — the dies themselves don't change when the routing
-/// substrate does.
-pub const REPORTS_PROJECTION: &[SpecField] = &[
-    SpecField::Kind,
-    SpecField::Stacking,
-    SpecField::MicrobumpPitchUm,
-];
-
-/// The chiplet-reports stage's store key for `spec`, downstream of the
-/// chiplet netlists' key.
-pub fn reports_store_key(spec: &InterposerSpec, netlists: StoreKey) -> StoreKey {
-    techlib::store::projection_key(
-        "chiplet_reports",
-        REPORTS_STAGE_VERSION,
-        spec,
-        REPORTS_PROJECTION,
-        &[("netlists", netlists)],
-    )
-}
+/// The chiplet-reports stage (bump plan, footprint solve, and the
+/// timing/wirelength/power models for the logic+memory pair), stored
+/// downstream of the chiplet netlists. Bump the version whenever any of
+/// those models or the serialized shape of [`ChipletReport`] changes.
+///
+/// The projection is what the pair analysis consumes: the technology
+/// (timing/power calibration and width-matching are keyed on `kind`),
+/// the stacking style, and the micro-bump pitch (bump-plan geometry).
+/// Interposer wire rules and dielectric properties are irrelevant here
+/// — the dies themselves don't change when the routing substrate does.
+pub const REPORTS: Stage = Stage {
+    name: "chiplet_reports",
+    version: 1,
+    projection: &[
+        SpecField::Kind,
+        SpecField::Stacking,
+        SpecField::MicrobumpPitchUm,
+    ],
+};
 
 /// Everything Table III reports for one chiplet on one technology.
 #[derive(Debug, Clone, Serialize, Deserialize)]

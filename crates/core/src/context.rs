@@ -24,38 +24,79 @@
 //! with the last handle to their store.
 
 use crate::scenario::Scenario;
-use crate::table5::{MonitorLengths, Table5Row};
+use crate::table5::{MonitorLengths, Table5Row, LINKS};
 use crate::FlowError;
-use chiplet::report::ChipletReport;
-use interposer::report::InterposerLayout;
+use chiplet::report::{ChipletReport, REPORTS};
+use interposer::report::{InterposerLayout, LAYOUT};
 use netlist::chiplet_netlist::ChipletNetlist;
 use netlist::design::Design;
 use netlist::partition::Partition;
 use netlist::serdes::SerdesPlan;
+use serde::{DeserializeOwned, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use techlib::spec::{InterposerKind, InterposerSpec};
-use techlib::store::{ArtifactStore, Codec, KeyHasher, StoreKey};
-use thermal::report::ThermalReport;
+use techlib::store::{ArtifactStore, Stage, StoreKey};
+use thermal::report::{ThermalReport, THERMAL};
 
-/// Algorithm version of the hierarchical-split stage. Bump when the
-/// partitioner or the serialized [`Partition`] shape changes.
-pub const SPLIT_STAGE_VERSION: u32 = 1;
+/// The hierarchical-split stage. Bump the version when the partitioner
+/// or the serialized [`Partition`] shape changes. The front end reads
+/// no spec field.
+pub const SPLIT: Stage = Stage {
+    name: "split",
+    version: 1,
+    projection: &[],
+};
 
-/// Algorithm version of the chipletize stage. Bump when chipletization
-/// or the serialized [`ChipletNetlist`] shape changes.
-pub const NETLISTS_STAGE_VERSION: u32 = 1;
+/// The chipletize stage, downstream of the split. Bump the version when
+/// chipletization or the serialized [`ChipletNetlist`] shape changes.
+pub const NETLISTS: Stage = Stage {
+    name: "chiplet_netlists",
+    version: 1,
+    projection: &[],
+};
 
-/// JSON codec for any serde round-trippable artifact.
-fn json_codec<T: serde::Serialize + serde::DeserializeOwned>() -> Codec<T> {
-    Codec {
-        encode: |v| serde_json::to_string(v).ok(),
-        decode: |s| serde_json::from_str_typed(s).ok(),
-    }
+/// Every stage the flow stores, one row each, in [`ComputeCounts`]
+/// field order.
+pub const STAGES: [Stage; 6] = [SPLIT, NETLISTS, REPORTS, LAYOUT, LINKS, THERMAL];
+
+/// An artifact store and the computes run through it, one counter per
+/// row of [`STAGES`] (store hits don't count).
+#[derive(Debug)]
+struct StageStore {
+    store: Arc<ArtifactStore>,
+    computes: [AtomicUsize; STAGES.len()],
 }
 
-fn count(counter: &AtomicUsize) {
-    counter.fetch_add(1, Ordering::Relaxed);
+impl StageStore {
+    fn new(store: Arc<ArtifactStore>) -> StageStore {
+        StageStore {
+            store,
+            computes: Default::default(),
+        }
+    }
+
+    /// The artifact of `stage` stored under `key`, computed only on a
+    /// miss. A compute counts against `stage` as it starts, so one that
+    /// fails (its upstream included) still counts.
+    fn get<T>(
+        &self,
+        stage: Stage,
+        key: StoreKey,
+        compute: impl FnOnce() -> Result<T, FlowError>,
+    ) -> Result<Arc<T>, FlowError>
+    where
+        T: Serialize + DeserializeOwned + Send + Sync + 'static,
+    {
+        self.store
+            .get_or_compute(key, || {
+                if let Some(row) = STAGES.iter().position(|s| s.name == stage.name) {
+                    self.computes[row].fetch_add(1, Ordering::Relaxed);
+                }
+                compute()
+            })
+            .map(|(artifact, _)| artifact)
+    }
 }
 
 /// The spec-independent front end of the flow: the two-tile OpenPiton
@@ -70,9 +111,7 @@ fn count(counter: &AtomicUsize) {
 #[derive(Debug)]
 pub struct FrontEnd {
     design: OnceLock<Arc<Design>>,
-    store: Arc<ArtifactStore>,
-    split_computes: AtomicUsize,
-    netlists_computes: AtomicUsize,
+    stages: StageStore,
 }
 
 impl Default for FrontEnd {
@@ -94,9 +133,7 @@ impl FrontEnd {
     pub fn with_store(store: Arc<ArtifactStore>) -> FrontEnd {
         FrontEnd {
             design: OnceLock::new(),
-            store,
-            split_computes: AtomicUsize::new(0),
-            netlists_computes: AtomicUsize::new(0),
+            stages: StageStore::new(store),
         }
     }
 
@@ -104,7 +141,7 @@ impl FrontEnd {
     /// the key covers the (fixed) design identity and the stage version
     /// only, so *every* clean scenario shares one entry.
     pub fn split_key() -> StoreKey {
-        let mut h = KeyHasher::new("split", SPLIT_STAGE_VERSION);
+        let mut h = SPLIT.hasher();
         h.field_str("design", "openpiton-2tile");
         h.finish()
     }
@@ -113,7 +150,7 @@ impl FrontEnd {
     /// the SerDes plan the netlists are built with.
     pub fn netlists_key() -> StoreKey {
         let plan = SerdesPlan::paper();
-        let mut h = KeyHasher::new("chiplet_netlists", NETLISTS_STAGE_VERSION);
+        let mut h = NETLISTS.hasher();
         h.upstream("split", FrontEnd::split_key());
         h.field_u64("serdes.wires_before", plan.wires_before as u64);
         h.field_u64("serdes.wires_after", plan.wires_after as u64);
@@ -137,12 +174,9 @@ impl FrontEnd {
     ///
     /// Partitioning failure (never stored).
     pub fn split(&self) -> Result<Arc<Partition>, FlowError> {
-        self.store
-            .get_or_compute(FrontEnd::split_key(), &json_codec(), || {
-                count(&self.split_computes);
-                netlist::partition::hierarchical_l3_split(&self.design()).map_err(FlowError::from)
-            })
-            .map(|(split, _)| split)
+        self.stages.get(SPLIT, FrontEnd::split_key(), || {
+            netlist::partition::hierarchical_l3_split(&self.design()).map_err(FlowError::from)
+        })
     }
 
     /// The chipletized (logic, memory) netlists with the paper's SerDes
@@ -152,29 +186,14 @@ impl FrontEnd {
     ///
     /// Partitioning failure (never stored).
     pub fn chiplet_netlists(&self) -> Result<Arc<(ChipletNetlist, ChipletNetlist)>, FlowError> {
-        self.store
-            .get_or_compute(FrontEnd::netlists_key(), &json_codec(), || {
-                let split = self.split()?;
-                count(&self.netlists_computes);
-                Ok(netlist::chiplet_netlist::chipletize(
-                    &self.design(),
-                    &split,
-                    &SerdesPlan::paper(),
-                ))
-            })
-            .map(|(netlists, _)| netlists)
-    }
-
-    /// How many hierarchical splits this front end has actually run
-    /// (store hits don't count) — the regression hook for "shared
-    /// context means one split".
-    pub fn split_compute_count(&self) -> usize {
-        self.split_computes.load(Ordering::Relaxed)
-    }
-
-    /// How many chipletizations have actually run.
-    pub fn netlists_compute_count(&self) -> usize {
-        self.netlists_computes.load(Ordering::Relaxed)
+        self.stages.get(NETLISTS, FrontEnd::netlists_key(), || {
+            let split = self.split()?;
+            Ok(netlist::chiplet_netlist::chipletize(
+                &self.design(),
+                &split,
+                &SerdesPlan::paper(),
+            ))
+        })
     }
 }
 
@@ -187,11 +206,7 @@ pub struct StudyContext {
     label: String,
     specs: [InterposerSpec; InterposerKind::COUNT],
     frontend: Arc<FrontEnd>,
-    store: Arc<ArtifactStore>,
-    report_computes: AtomicUsize,
-    layout_computes: AtomicUsize,
-    links_computes: AtomicUsize,
-    thermal_computes: AtomicUsize,
+    stages: StageStore,
 }
 
 impl StudyContext {
@@ -255,11 +270,7 @@ impl StudyContext {
             label,
             specs,
             frontend,
-            store,
-            report_computes: AtomicUsize::new(0),
-            layout_computes: AtomicUsize::new(0),
-            links_computes: AtomicUsize::new(0),
-            thermal_computes: AtomicUsize::new(0),
+            stages: StageStore::new(store),
         }
     }
 
@@ -280,7 +291,7 @@ impl StudyContext {
 
     /// The artifact store behind this context's spec-dependent stages.
     pub fn store(&self) -> &ArtifactStore {
-        &self.store
+        &self.stages.store
     }
 
     /// The two-tile OpenPiton-like design.
@@ -317,15 +328,12 @@ impl StudyContext {
         tech: InterposerKind,
     ) -> Result<Arc<(ChipletReport, ChipletReport)>, FlowError> {
         let spec = self.spec(tech);
-        let key = chiplet::report::reports_store_key(spec, FrontEnd::netlists_key());
-        self.store
-            .get_or_compute(key, &json_codec(), || {
-                let netlists = self.frontend.chiplet_netlists()?;
-                count(&self.report_computes);
-                let (logic_nl, mem_nl) = &*netlists;
-                chiplet::report::analyze_pair_with(logic_nl, mem_nl, spec).map_err(FlowError::from)
-            })
-            .map(|(pair, _)| pair)
+        let key = REPORTS.key(spec, &[("netlists", FrontEnd::netlists_key())]);
+        self.stages.get(REPORTS, key, || {
+            let netlists = self.frontend.chiplet_netlists()?;
+            let (logic_nl, mem_nl) = &*netlists;
+            chiplet::report::analyze_pair_with(logic_nl, mem_nl, spec).map_err(FlowError::from)
+        })
     }
 
     /// The routed interposer layout for `tech` (Table IV) against this
@@ -337,10 +345,10 @@ impl StudyContext {
     /// [`interposer::RouteError::NoInterposer`] for technologies without
     /// a routed interposer.
     pub fn layout(&self, tech: InterposerKind) -> Result<Arc<InterposerLayout>, FlowError> {
-        interposer::report::layout_in(&self.store, self.spec(tech), || {
-            count(&self.layout_computes);
+        let spec = self.spec(tech);
+        self.stages.get(LAYOUT, LAYOUT.key(spec, &[]), || {
+            interposer::report::place_and_route_with(spec).map_err(FlowError::from)
         })
-        .map_err(FlowError::from)
     }
 
     /// The Table V link row for `tech` in `mode` — the cached form
@@ -359,13 +367,10 @@ impl StudyContext {
         mode: MonitorLengths,
     ) -> Result<Arc<Table5Row>, FlowError> {
         let (l2m, l2l) = crate::table5::channels_for_in(self, tech, mode)?;
-        let key = crate::table5::links_store_key(self, tech, &l2m, &l2l);
-        self.store
-            .get_or_compute(key, &json_codec(), || {
-                count(&self.links_computes);
-                crate::table5::simulate_row(self, tech, &l2m, &l2l)
-            })
-            .map(|(row, _)| row)
+        let key = crate::table5::links_key(self, tech, &l2m, &l2l);
+        self.stages.get(LINKS, key, || {
+            crate::table5::simulate_row(self, tech, &l2m, &l2l)
+        })
     }
 
     /// The thermal report for `tech` (Fig. 17) against this context's
@@ -376,23 +381,30 @@ impl StudyContext {
     /// Thermal model or solver failure, or the armed `thermal.solve`
     /// fault site.
     pub fn thermal_report(&self, tech: InterposerKind) -> Result<Arc<ThermalReport>, FlowError> {
-        thermal::report::analyze_in(&self.store, self.spec(tech), || {
-            count(&self.thermal_computes);
+        thermal::report::check_solve_fault()?;
+        let spec = self.spec(tech);
+        self.stages.get(THERMAL, THERMAL.key(spec, &[]), || {
+            thermal::report::analyze_with(spec).map_err(FlowError::from)
         })
-        .map_err(FlowError::from)
     }
 
     /// Total artifact computations this context has actually run, by
     /// stage — the observability hook the cache-reuse tests and the
     /// sweep bench use.
     pub fn compute_counts(&self) -> ComputeCounts {
+        let [split, netlists, reports, layouts, links, thermal] = std::array::from_fn(|row| {
+            [&self.frontend.stages, &self.stages]
+                .map(|s| s.computes[row].load(Ordering::Relaxed))
+                .iter()
+                .sum()
+        });
         ComputeCounts {
-            split: self.frontend.split_compute_count(),
-            netlists: self.frontend.netlists_compute_count(),
-            reports: self.report_computes.load(Ordering::Relaxed),
-            layouts: self.layout_computes.load(Ordering::Relaxed),
-            links: self.links_computes.load(Ordering::Relaxed),
-            thermal: self.thermal_computes.load(Ordering::Relaxed),
+            split,
+            netlists,
+            reports,
+            layouts,
+            links,
+            thermal,
         }
     }
 }
@@ -469,7 +481,11 @@ mod tests {
         let na = a.chiplet_netlists().unwrap();
         let nb = b.chiplet_netlists().unwrap();
         assert!(Arc::ptr_eq(&na, &nb), "one split for clean scenarios");
-        assert_eq!(shared.split_compute_count(), 1);
+        assert_eq!(
+            a.compute_counts().split,
+            1,
+            "the shared front end split once"
+        );
         // Without a shared store, downstream artifacts stay private.
         let ra = a.chiplet_reports(InterposerKind::Glass25D).unwrap();
         let rb = b.chiplet_reports(InterposerKind::Glass25D).unwrap();

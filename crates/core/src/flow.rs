@@ -63,26 +63,10 @@ pub fn run_tech_in(
     // expired deadline abandons the run *between* stages, so stored
     // artifacts are always either absent or complete.
     let _label = techlib::obs::label_scope_with(|| format!("{}:{}", ctx.label(), tech.label()));
-    {
-        techlib::cancel::check("stage.design")?;
-        let _span = techlib::obs::span("stage.design");
-        ctx.design();
-    }
-    {
-        techlib::cancel::check("stage.split")?;
-        let _span = techlib::obs::span("stage.split");
-        ctx.split()?;
-    }
-    {
-        techlib::cancel::check("stage.chipletize")?;
-        let _span = techlib::obs::span("stage.chipletize");
-        ctx.chiplet_netlists()?;
-    }
-    let reports = {
-        techlib::cancel::check("stage.chiplet_reports")?;
-        let _span = techlib::obs::span("stage.chiplet_reports");
-        ctx.chiplet_reports(tech)?
-    };
+    step("stage.design", || Ok(ctx.design()))?;
+    step("stage.split", || ctx.split())?;
+    step("stage.chipletize", || ctx.chiplet_netlists())?;
+    let reports = step("stage.chiplet_reports", || ctx.chiplet_reports(tech))?;
     let (logic, memory) = &*reports;
     let routing = if matches!(
         ctx.spec(tech).stacking,
@@ -90,9 +74,7 @@ pub fn run_tech_in(
     ) {
         None
     } else {
-        techlib::cancel::check("stage.route")?;
-        let _span = techlib::obs::span("stage.route");
-        Some(ctx.layout(tech)?.stats.clone())
+        Some(step("stage.route", || ctx.layout(tech))?.stats.clone())
     };
     // The link transients and the thermal solve touch no shared state, so
     // they overlap when a pool worker is free; otherwise (and on warm
@@ -100,26 +82,14 @@ pub fn run_tech_in(
     // thread. Error priority mirrors the sequential statement order:
     // links first, then thermal.
     let (links, thermal) = exec::join(
-        || {
-            techlib::cancel::check("stage.si_links")?;
-            let _span = techlib::obs::span("stage.si_links");
-            row_in(ctx, tech, mode)
-        },
-        || {
-            techlib::cancel::check("stage.thermal")?;
-            let _span = techlib::obs::span("stage.thermal");
-            ctx.thermal_report(tech)
-        },
+        || step("stage.si_links", || row_in(ctx, tech, mode)),
+        || step("stage.thermal", || ctx.thermal_report(tech)),
     );
     let links = links?;
     let thermal = (*thermal?).clone();
     // Roll up from the already-computed reports and links; the seed flow
     // called `fullchip()` here, which re-simulated both links.
-    let fullchip = {
-        techlib::cancel::check("stage.fullchip")?;
-        let _span = techlib::obs::span("stage.fullchip");
-        rollup(tech, logic, memory, &links)
-    };
+    let fullchip = step("stage.fullchip", || Ok(rollup(tech, logic, memory, &links)))?;
     Ok(TechStudy {
         tech,
         logic: logic.clone(),
@@ -129,6 +99,17 @@ pub fn run_tech_in(
         fullchip,
         thermal,
     })
+}
+
+/// One stage of [`run_tech_in`]: a cooperative cancellation poll, then
+/// `run` inside the stage's span.
+fn step<T>(
+    stage: &'static str,
+    run: impl FnOnce() -> Result<T, FlowError>,
+) -> Result<T, FlowError> {
+    techlib::cancel::check(stage)?;
+    let _span = techlib::obs::span(stage);
+    run()
 }
 
 /// Runs one [`Scenario`] in a private context, with its fault sites (if

@@ -16,6 +16,13 @@ use serde::Serialize;
 use serde_json::Value;
 use techlib::spec::{InterposerKind, InterposerSpec};
 
+/// The most signal metal layers a scenario may ask for. Table I's
+/// technologies route on 3–8; the router allocates per layer, so an
+/// unbounded count from a request body could ask for more memory than
+/// the machine has, which aborts the process rather than failing the
+/// scenario.
+pub const MAX_SIGNAL_METAL_LAYERS: usize = 32;
+
 /// Typed overrides on the paper's Table I design rules. `None` fields
 /// keep the [`InterposerSpec::for_kind`] default.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -131,11 +138,11 @@ impl ScenarioOverrides {
             }
         }
         if let Some(n) = self.signal_metal_layers {
-            if n == 0 {
+            if !(1..=MAX_SIGNAL_METAL_LAYERS).contains(&n) {
                 return Err(invalid(
                     scenario,
                     "signal_metal_layers",
-                    "must be at least 1, got 0".to_string(),
+                    format!("must be between 1 and {MAX_SIGNAL_METAL_LAYERS}, got {n}"),
                 ));
             }
         }
@@ -518,12 +525,19 @@ mod tests {
 
     #[test]
     fn zero_layers_and_nan_dimensions_are_rejected() {
-        let err = build(ScenarioOverrides {
-            signal_metal_layers: Some(0),
+        for layers in [0, MAX_SIGNAL_METAL_LAYERS + 1, 1_000_000_000] {
+            let err = build(ScenarioOverrides {
+                signal_metal_layers: Some(layers),
+                ..Default::default()
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("signal_metal_layers"), "{err}");
+        }
+        assert!(build(ScenarioOverrides {
+            signal_metal_layers: Some(MAX_SIGNAL_METAL_LAYERS),
             ..Default::default()
         })
-        .unwrap_err();
-        assert!(err.to_string().contains("signal_metal_layers"), "{err}");
+        .is_ok());
         let err = build(ScenarioOverrides {
             via_size_um: Some(f64::NAN),
             ..Default::default()

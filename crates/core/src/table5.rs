@@ -14,7 +14,7 @@ use interposer::diemap::NetClass;
 use serde::{Deserialize, Serialize};
 use si::link::{simulate_link_with, ChannelKind, LinkReport};
 use techlib::spec::{InterposerKind, Stacking};
-use techlib::store::{hash_spec_field, KeyHasher, SpecField, StoreKey};
+use techlib::store::{KeyHasher, SpecField, Stage, StoreKey};
 
 /// Where the monitored net lengths come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -122,17 +122,24 @@ pub fn channels_for_in(
     }
 }
 
-/// Algorithm version of the SI-links stage (deck construction, transient
-/// settings, delay/power extraction). Bump whenever any of those — or
+/// The SI-links stage (deck construction, transient settings,
+/// delay/power extraction). Bump the version whenever any of those — or
 /// the serialized shape of [`Table5Row`] — changes.
-pub const LINKS_STAGE_VERSION: u32 = 1;
+///
+/// The projection is the **full** spec, hashed once per monitored
+/// channel for the technology the channel terminates on: the transient
+/// deck reads wire geometry, dielectric properties, loss tangent and
+/// bump/via dimensions, so no narrower projection is sound here.
+pub const LINKS: Stage = Stage {
+    name: "si_links",
+    version: 1,
+    projection: &SpecField::ALL,
+};
 
 /// Hashes one monitored channel into a links stage key: the channel
 /// descriptor itself (which already embeds any routed worst-net length,
-/// subsuming the layout upstream key) plus the **full** resolved spec of
-/// the technology the channel terminates on — the transient deck reads
-/// wire geometry, dielectric properties, loss tangent and bump/via
-/// dimensions, so no narrower projection is sound here.
+/// subsuming the layout upstream key) plus the [`LINKS`] projection of
+/// the spec of the technology the channel terminates on.
 fn hash_channel(h: &mut KeyHasher, label: &str, channel: &ChannelKind, ctx: &StudyContext) {
     match channel {
         ChannelKind::RdlTrace { tech, length_um } => {
@@ -151,25 +158,22 @@ fn hash_channel(h: &mut KeyHasher, label: &str, channel: &ChannelKind, ctx: &Stu
             h.field_str(&format!("{label}.channel"), "back_to_back_tsv");
         }
     }
-    let spec = ctx.spec(channel.tech());
-    for field in SpecField::ALL {
-        hash_spec_field(h, spec, field);
-    }
+    LINKS.hash_spec(h, ctx.spec(channel.tech()));
 }
 
-/// The links stage's store key for one row: the row technology and both
-/// extracted channels (with the full specs they are simulated against).
+/// The [`LINKS`] key for one row: the row technology and both extracted
+/// channels (with the full specs they are simulated against).
 /// The monitored-length mode is *not* hashed separately — its entire
 /// effect is the lengths already inside the channel descriptors, so the
 /// two modes share one entry whenever they extract identical channels
 /// (as on Silicon 3D, whose channels carry no length at all).
-pub fn links_store_key(
+pub fn links_key(
     ctx: &StudyContext,
     tech: InterposerKind,
     l2m: &ChannelKind,
     l2l: &ChannelKind,
 ) -> StoreKey {
-    let mut h = KeyHasher::new("si_links", LINKS_STAGE_VERSION);
+    let mut h = LINKS.hasher();
     h.field_str("tech", &format!("{tech:?}"));
     hash_channel(&mut h, "l2m", l2m, ctx);
     hash_channel(&mut h, "l2l", l2l, ctx);

@@ -11,6 +11,15 @@ use techlib::spec::{InterposerSpec, RoutingStyle};
 /// Default gcell edge length, µm.
 pub const GCELL_UM: f64 = 20.0;
 
+/// The most nodes a routing grid may have. The router keeps several
+/// per-node arrays, so a grid sized by an extreme override (a huge die
+/// spacing, say) would ask for more memory than the machine has, which
+/// aborts the process rather than failing the scenario. The largest
+/// grid any paper technology or `examples/*.json` scenario builds is
+/// APX's 160 × 135 gcells × 8 layers = 172 800 nodes; the budget leaves
+/// over 11× that.
+pub const MAX_GRID_NODES: usize = 2_000_000;
+
 /// The routing grid of one interposer.
 #[derive(Debug, Clone, Serialize)]
 pub struct RoutingGrid {
@@ -39,7 +48,8 @@ impl RoutingGrid {
     ///
     /// # Errors
     ///
-    /// Returns an error message if the footprint or spec is degenerate.
+    /// Returns an error message if the footprint or spec is degenerate,
+    /// or if the grid would exceed [`MAX_GRID_NODES`].
     pub fn new(
         footprint_um: (f64, f64),
         spec: &InterposerSpec,
@@ -52,6 +62,12 @@ impl RoutingGrid {
         }
         let cols = (footprint_um.0 / GCELL_UM).ceil() as usize;
         let rows = (footprint_um.1 / GCELL_UM).ceil() as usize;
+        let nodes = cols
+            .checked_mul(rows)
+            .and_then(|gcells| gcells.checked_mul(spec.signal_metal_layers));
+        if nodes.is_none_or(|n| n > MAX_GRID_NODES) {
+            return Err("grid exceeds the routing node budget");
+        }
         Ok(RoutingGrid {
             cols,
             rows,
@@ -164,6 +180,18 @@ mod tests {
         let g = RoutingGrid::new((3200.0, 2700.0), &spec).unwrap();
         assert!(g.diagonal);
         assert!(g.capacity < 2.0);
+    }
+
+    #[test]
+    fn oversized_grids_are_rejected_before_any_allocation() {
+        // A huge die spacing: cols × rows overflows usize.
+        let mut spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
+        assert!(RoutingGrid::new((1e300, 1e300), &spec).is_err());
+        // Fits usize, but 50 000² gcells × 32 layers is far over budget.
+        // (`report::grid_nodes_rank_the_paper_techs_by_routing_cost`
+        // holds the paper grids, APX's 172 800 nodes the largest, inside.)
+        spec.signal_metal_layers = 32;
+        assert!(RoutingGrid::new((1e6, 1e6), &spec).is_err());
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! One-call interposer place-and-route, cached in an artifact store.
+//! One-call interposer place-and-route.
 //!
-//! [`place_and_route_with`] is the pure computation; [`layout_in`] looks
-//! the layout up in an [`ArtifactStore`] under [`layout_store_key`] and
-//! routes only on a miss. The caller owns the store: a study context
-//! passes its own, so layouts live exactly as long as the context that
-//! routed them.
+//! [`place_and_route_with`] is the pure computation; [`LAYOUT`] declares
+//! the store stage a study context keeps its result under, so scenarios
+//! whose specs agree on the stage's projection share one routed layout.
 
 use crate::diemap::{self, DiePlacement, NetClass};
 use crate::grid::RoutingGrid;
@@ -13,9 +11,8 @@ use crate::router::{self, RoutedNet};
 use crate::stats::RoutingStats;
 use crate::RouteError;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use techlib::spec::{InterposerKind, InterposerSpec, Stacking};
-use techlib::store::{ArtifactStore, Codec, SpecField, StoreKey};
+use techlib::store::{SpecField, Stage};
 
 /// The complete interposer layout for one technology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,70 +61,37 @@ impl InterposerLayout {
     }
 }
 
-/// Algorithm version of the layout stage (place + route + PDN). Bump
-/// whenever placement, routing, PDN generation, or the serialized shape
-/// of [`InterposerLayout`] changes, so persisted artifacts from older
+/// The layout stage (place + route + PDN). Bump the version whenever
+/// placement, routing, PDN generation, or the serialized shape of
+/// [`InterposerLayout`] changes, so persisted artifacts from older
 /// binaries miss instead of resurfacing stale results.
-pub const LAYOUT_STAGE_VERSION: u32 = 1;
-
-/// The spec fields place-and-route actually consumes: everything
-/// *except* `loss_tangent`, which only the SI link simulation reads.
-/// Placement reads the geometry fields, the routing grid reads the wire
-/// rules, and the PDN plan reads `dielectric_constant` (plane
-/// capacitance), so those all stay in the projection. A sweep that only
-/// varies `loss_tangent` therefore shares one layout across scenarios.
-pub const LAYOUT_PROJECTION: &[SpecField] = &[
-    SpecField::Kind,
-    SpecField::SignalMetalLayers,
-    SpecField::MetalThicknessUm,
-    SpecField::DielectricThicknessUm,
-    SpecField::DielectricConstant,
-    SpecField::MinWireWidthUm,
-    SpecField::MinWireSpaceUm,
-    SpecField::ViaSizeUm,
-    SpecField::BumpSizeUm,
-    SpecField::DieToDieSpacingUm,
-    SpecField::MicrobumpPitchUm,
-    SpecField::Stacking,
-    SpecField::RoutingStyle,
-    SpecField::CoreThicknessUm,
-];
-
-/// The layout stage's store key for `spec`.
-pub fn layout_store_key(spec: &InterposerSpec) -> StoreKey {
-    techlib::store::projection_key("layout", LAYOUT_STAGE_VERSION, spec, LAYOUT_PROJECTION, &[])
-}
-
-/// JSON codec for persisted layouts.
-fn layout_codec() -> Codec<InterposerLayout> {
-    Codec {
-        encode: |layout| serde_json::to_string(layout).ok(),
-        decode: |text| serde_json::from_str_typed(text).ok(),
-    }
-}
-
-/// The routed layout for `spec`, looked up in `store` under
-/// [`layout_store_key`]: scenarios whose specs agree on
-/// [`LAYOUT_PROJECTION`] share one routed layout — across contexts, and
-/// across processes when the store has a disk tier. Place-and-route runs
-/// only on a miss, right after `on_compute` (study contexts count their
-/// computes with it). Concurrent requests for one key route once.
 ///
-/// # Errors
-///
-/// Same as [`place_and_route_with`]; errors never reach the store.
-pub fn layout_in(
-    store: &ArtifactStore,
-    spec: &InterposerSpec,
-    on_compute: impl FnOnce(),
-) -> Result<Arc<InterposerLayout>, RouteError> {
-    store
-        .get_or_compute(layout_store_key(spec), &layout_codec(), || {
-            on_compute();
-            place_and_route_with(spec)
-        })
-        .map(|(layout, _)| layout)
-}
+/// The projection is every spec field *except* `loss_tangent`, which
+/// only the SI link simulation reads. Placement reads the geometry
+/// fields, the routing grid reads the wire rules, and the PDN plan
+/// reads `dielectric_constant` (plane capacitance), so those all stay
+/// in. A sweep that only varies `loss_tangent` therefore shares one
+/// layout across scenarios.
+pub const LAYOUT: Stage = Stage {
+    name: "layout",
+    version: 1,
+    projection: &[
+        SpecField::Kind,
+        SpecField::SignalMetalLayers,
+        SpecField::MetalThicknessUm,
+        SpecField::DielectricThicknessUm,
+        SpecField::DielectricConstant,
+        SpecField::MinWireWidthUm,
+        SpecField::MinWireSpaceUm,
+        SpecField::ViaSizeUm,
+        SpecField::BumpSizeUm,
+        SpecField::DieToDieSpacingUm,
+        SpecField::MicrobumpPitchUm,
+        SpecField::Stacking,
+        SpecField::RoutingStyle,
+        SpecField::CoreThicknessUm,
+    ],
+};
 
 /// The node count (gcells × signal layers) of the routing grid
 /// [`place_and_route_with`] would route `spec` on: a cheap proxy for its
@@ -191,10 +155,13 @@ pub fn place_and_route_with(spec: &InterposerSpec) -> Result<InterposerLayout, R
 /// The paper-default layout for `tech`, routed at most once per test
 /// binary: every unit test of this crate reads one shared test store.
 #[cfg(test)]
-pub(crate) fn test_layout(tech: InterposerKind) -> Arc<InterposerLayout> {
+pub(crate) fn test_layout(tech: InterposerKind) -> std::sync::Arc<InterposerLayout> {
+    use techlib::store::ArtifactStore;
     static STORE: std::sync::OnceLock<ArtifactStore> = std::sync::OnceLock::new();
     let store = STORE.get_or_init(ArtifactStore::in_memory);
-    layout_in(store, &InterposerSpec::for_kind(tech), || {}).unwrap()
+    let spec = InterposerSpec::for_kind(tech);
+    let stored = store.get_or_compute(LAYOUT.key(&spec, &[]), || place_and_route_with(&spec));
+    stored.unwrap().0
 }
 
 #[cfg(test)]
@@ -267,19 +234,25 @@ mod tests {
     #[test]
     fn caches_are_isolated_and_count_computes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use techlib::store::ArtifactStore;
         let a = ArtifactStore::in_memory();
         let b = ArtifactStore::in_memory();
         let (a_computes, b_computes) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let count = |n: &AtomicUsize| {
-            n.fetch_add(1, Ordering::Relaxed);
-        };
         let spec = InterposerSpec::for_kind(InterposerKind::Glass3D);
-        let first = layout_in(&a, &spec, || count(&a_computes)).unwrap();
-        let again = layout_in(&a, &spec, || count(&a_computes)).unwrap();
+        let route_in = |store: &ArtifactStore, computes: &AtomicUsize| {
+            let stored = store.get_or_compute(LAYOUT.key(&spec, &[]), || {
+                computes.fetch_add(1, Ordering::Relaxed);
+                place_and_route_with(&spec)
+            });
+            stored.unwrap().0
+        };
+        let first = route_in(&a, &a_computes);
+        let again = route_in(&a, &a_computes);
         assert!(Arc::ptr_eq(&first, &again), "same store shares the Arc");
         assert_eq!(a_computes.load(Ordering::Relaxed), 1);
         assert_eq!(b.stats().misses, 0, "sibling store untouched");
-        let other = layout_in(&b, &spec, || count(&b_computes)).unwrap();
+        let other = route_in(&b, &b_computes);
         assert!(!Arc::ptr_eq(&first, &other), "stores never share slots");
         assert_eq!(b_computes.load(Ordering::Relaxed), 1);
     }

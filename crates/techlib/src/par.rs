@@ -628,10 +628,6 @@ mod tests {
                 left.wrapping_mul(31).wrapping_add(right)
             })
             .collect();
-        let codec = crate::store::Codec::<u64> {
-            encode: |v| Some(v.to_string()),
-            decode: |s| s.parse().ok(),
-        };
         let store = crate::store::ArtifactStore::in_memory();
         let key = |x: u64| {
             let mut h = crate::store::KeyHasher::new("nested", 1);
@@ -643,7 +639,7 @@ mod tests {
         let requests: Vec<u64> = (0..12).map(|i| i % 6).collect();
         let got = ordered_map_with(4, &requests, |&x| {
             let (v, _) = store
-                .get_or_compute(key(x), &codec, || Ok::<_, ()>(nested(x)))
+                .get_or_compute(key(x), || Ok::<_, ()>(nested(x)))
                 .expect("compute is infallible");
             *v
         });

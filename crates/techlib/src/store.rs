@@ -4,11 +4,13 @@
 //! The flow is a chain of stages (design → split → chiplet netlists →
 //! chiplet reports → layout → thermal → SI links); each stage's product
 //! is fully determined by a *projection* of the spec fields it actually
-//! consumes plus the keys of the upstream artifacts it reads. A
-//! [`StoreKey`] is a stable 128-bit hash of exactly that projection
-//! (built with [`KeyHasher`]), so two scenarios differing only in a
-//! *later* stage's knobs produce identical keys for the shared prefix
-//! and the [`ArtifactStore`] hands both the same computed artifact.
+//! consumes plus the keys of the upstream artifacts it reads. The crate
+//! that owns a stage declares it once, as a [`Stage`] row: its key
+//! namespace, its algorithm version and its projection. A [`StoreKey`]
+//! is a stable 128-bit hash of exactly that projection (built with the
+//! row's [`KeyHasher`]), so two scenarios differing only in a *later*
+//! stage's knobs produce identical keys for the shared prefix and the
+//! [`ArtifactStore`] hands both the same computed artifact.
 //!
 //! Every study context owns a handle to a store, so every cached
 //! artifact of the flow lives here and nowhere else: a batch shares one
@@ -34,14 +36,16 @@
 //! and leave both tiers untouched, so transient failures cannot poison
 //! shared state. Fault-armed scenarios additionally run over a private
 //! throwaway store (see `core::batch`), so an armed fault neither reads
-//! a sibling's artifact nor leaves one behind. Encoding is delegated to
-//! a caller-supplied [`Codec`] so this crate stays free of any JSON
-//! dependency.
+//! a sibling's artifact nor leaves one behind. The store encodes every
+//! artifact itself, as compact JSON through [`serde::Writer`], and
+//! decodes it through [`serde::Reader`].
 //!
 //! Everything cached here is deterministic, so key identity implies
 //! byte-identical artifacts: outputs computed through a shared store are
 //! indistinguishable from those of a fresh one.
 
+use crate::spec::InterposerSpec;
+use serde::{DeserializeOwned, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 use std::io;
@@ -171,8 +175,7 @@ impl KeyHasher {
 }
 
 /// One field of [`crate::spec::InterposerSpec`], as a value — the
-/// vocabulary stage owners use to declare their input projections
-/// (`pub const ..._PROJECTION: &[SpecField]`). Declaring projections as
+/// vocabulary of a [`Stage`]'s projection. Declaring projections as
 /// data rather than ad-hoc hashing code lets the key-soundness tests
 /// enumerate [`SpecField::ALL`] and assert that exactly the declared
 /// fields move a stage's key.
@@ -255,7 +258,7 @@ impl SpecField {
 /// Hashes one spec field into a stage key. Enum fields hash by their
 /// `Debug` name (stable — they are part of the public API), numerics by
 /// exact bit pattern.
-pub fn hash_spec_field(h: &mut KeyHasher, spec: &crate::spec::InterposerSpec, field: SpecField) {
+fn hash_spec_field(h: &mut KeyHasher, spec: &InterposerSpec, field: SpecField) {
     let name = field.name();
     match field {
         SpecField::Kind => h.field_str(name, &format!("{:?}", spec.kind)),
@@ -276,23 +279,46 @@ pub fn hash_spec_field(h: &mut KeyHasher, spec: &crate::spec::InterposerSpec, fi
     }
 }
 
-/// Builds a stage key from a declared projection: the stage name and
-/// version, the projected spec fields, then any upstream artifact keys.
-pub fn projection_key(
-    stage: &str,
-    stage_version: u32,
-    spec: &crate::spec::InterposerSpec,
-    projection: &[SpecField],
-    upstream: &[(&str, StoreKey)],
-) -> StoreKey {
-    let mut h = KeyHasher::new(stage, stage_version);
-    for &field in projection {
-        hash_spec_field(&mut h, spec, field);
+/// One stored stage of the flow, declared once by the crate that owns
+/// it (`pub const LAYOUT: Stage`, …): everything its store key is made
+/// of apart from the stage's own inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stage {
+    /// The stage's key namespace. Every stage has its own, so two
+    /// stages never share a key.
+    pub name: &'static str,
+    /// The stage's algorithm version: bump it when the computation or
+    /// the serialized shape of its artifact changes, so artifacts of
+    /// the old algorithm (same inputs) miss instead of resurfacing.
+    pub version: u32,
+    /// The spec fields the stage consumes, in hashing order; every other
+    /// field leaves its key, and its artifact, unchanged.
+    pub projection: &'static [SpecField],
+}
+
+impl Stage {
+    /// A key hasher started with the stage's name and version.
+    pub fn hasher(&self) -> KeyHasher {
+        KeyHasher::new(self.name, self.version)
     }
-    for &(name, key) in upstream {
-        h.upstream(name, key);
+
+    /// Hashes the stage's projection of `spec` into `h`.
+    pub fn hash_spec(&self, h: &mut KeyHasher, spec: &InterposerSpec) {
+        for &field in self.projection {
+            hash_spec_field(h, spec, field);
+        }
     }
-    h.finish()
+
+    /// The stage's key for `spec`: the name and version, the projected
+    /// spec fields, then the keys of the upstream artifacts it reads.
+    pub fn key(&self, spec: &InterposerSpec, upstream: &[(&str, StoreKey)]) -> StoreKey {
+        let mut h = self.hasher();
+        self.hash_spec(&mut h, spec);
+        for &(name, key) in upstream {
+            h.upstream(name, key);
+        }
+        h.finish()
+    }
 }
 
 /// Where a [`ArtifactStore::get_or_compute`] result came from.
@@ -304,18 +330,6 @@ pub enum Provenance {
     DiskHit,
     /// The compute closure ran.
     Computed,
-}
-
-/// Serialization bridge for the disk tier, supplied by the crate that
-/// owns the artifact type (this crate carries no JSON dependency).
-/// `encode` returning `None` (e.g. a non-finite float that would not
-/// round-trip) skips the disk write; `decode` returning `None` marks the
-/// entry corrupt, which the store treats as a miss.
-pub struct Codec<T> {
-    /// Artifact → durable text.
-    pub encode: fn(&T) -> Option<String>,
-    /// Durable text → artifact.
-    pub decode: fn(&str) -> Option<T>,
 }
 
 /// Point-in-time totals of the store's activity. Unlike the global
@@ -430,7 +444,8 @@ impl ArtifactStore {
     /// tier holds it). Concurrent calls for the same key block on a
     /// per-key mutex while one of them computes; calls for different
     /// keys proceed in parallel. `compute` must not re-enter the store
-    /// with the same key.
+    /// with the same key. A disk entry that does not read back as a `T`
+    /// counts as invalid and is recomputed.
     ///
     /// # Errors
     ///
@@ -438,11 +453,10 @@ impl ArtifactStore {
     pub fn get_or_compute<T, E>(
         &self,
         key: StoreKey,
-        codec: &Codec<T>,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<(Arc<T>, Provenance), E>
     where
-        T: Send + Sync + 'static,
+        T: Serialize + DeserializeOwned + Send + Sync + 'static,
     {
         let slot = self.slot(key);
         let mut guard = lock(&slot);
@@ -459,7 +473,7 @@ impl ArtifactStore {
         if let Some(path) = self.path_for(key) {
             match std::fs::read_to_string(&path) {
                 Ok(text) => {
-                    if let Some(value) = (codec.decode)(&text) {
+                    if let Some(value) = decode::<T>(&text) {
                         let value = Arc::new(value);
                         *guard = Some(Arc::clone(&value) as AnyArc);
                         self.bump(&self.counters.disk_hits, crate::obs::STORE_DISK_HIT);
@@ -475,10 +489,10 @@ impl ArtifactStore {
         let value = Arc::new(compute()?);
         *guard = Some(Arc::clone(&value) as AnyArc);
         if let Some(path) = self.path_for(key) {
-            if let Some(text) = (codec.encode)(&value) {
-                if write_atomic(&path, &text).is_ok() {
-                    self.bump(&self.counters.writes, crate::obs::STORE_WRITE);
-                }
+            let mut text = serde::Writer::new(false);
+            value.serialize(&mut text);
+            if write_atomic(&path, &text.into_string()).is_ok() {
+                self.bump(&self.counters.writes, crate::obs::STORE_WRITE);
             }
         }
         Ok((value, Provenance::Computed))
@@ -497,6 +511,14 @@ impl std::fmt::Debug for ArtifactStore {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
+}
+
+/// Reads a whole disk entry as a `T`; `None` when it is not one.
+fn decode<T: DeserializeOwned>(text: &str) -> Option<T> {
+    let mut reader = serde::Reader::new(text);
+    let value = T::deserialize(&mut reader).ok()?;
+    reader.finish().ok()?;
+    Some(value)
 }
 
 /// Writes `text` to `path` via a sibling temp file and an atomic rename,
@@ -521,13 +543,6 @@ fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    fn u64_codec() -> Codec<u64> {
-        Codec {
-            encode: |v| Some(v.to_string()),
-            decode: |s| s.parse().ok(),
-        }
-    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -594,9 +609,9 @@ mod tests {
         let store = ArtifactStore::in_memory();
         let calls = AtomicUsize::new(0);
         let get = || {
-            store.get_or_compute(key("s", 1.0), &u64_codec(), || {
+            store.get_or_compute(key("s", 1.0), || {
                 calls.fetch_add(1, Ordering::Relaxed);
-                Ok::<_, ()>(7)
+                Ok::<u64, ()>(7)
             })
         };
         let (first, p1) = get().unwrap();
@@ -614,24 +629,18 @@ mod tests {
         let dir = temp_dir("clear");
         let store = ArtifactStore::with_disk(&dir).unwrap();
         let k = key("s", 5.0);
-        let (first, _) = store
-            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(3))
-            .unwrap();
+        let (first, _) = store.get_or_compute(k, || Ok::<u64, ()>(3)).unwrap();
         store.clear();
         let (again, p) = store
-            .get_or_compute(k, &u64_codec(), || Err::<u64, _>("must not recompute"))
+            .get_or_compute(k, || Err::<u64, _>("must not recompute"))
             .unwrap();
         assert_eq!((*again, p), (3, Provenance::DiskHit), "disk tier kept");
         assert_eq!(*first, 3, "old handles stay valid");
 
         let memory = ArtifactStore::in_memory();
-        memory
-            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(4))
-            .unwrap();
+        memory.get_or_compute(k, || Ok::<u64, ()>(4)).unwrap();
         memory.clear();
-        let (_, p) = memory
-            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(4))
-            .unwrap();
+        let (_, p) = memory.get_or_compute(k, || Ok::<u64, ()>(4)).unwrap();
         assert_eq!(p, Provenance::Computed, "memory tier emptied");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -642,12 +651,10 @@ mod tests {
         let store = ArtifactStore::with_disk(&dir).unwrap();
         let k = key("s", 1.0);
         let err = store
-            .get_or_compute(k, &u64_codec(), || Err::<u64, _>("boom"))
+            .get_or_compute(k, || Err::<u64, _>("boom"))
             .unwrap_err();
         assert_eq!(err, "boom");
-        let (v, p) = store
-            .get_or_compute(k, &u64_codec(), || Ok::<_, &str>(9))
-            .unwrap();
+        let (v, p) = store.get_or_compute(k, || Ok::<u64, &str>(9)).unwrap();
         assert_eq!((*v, p), (9, Provenance::Computed), "error was not cached");
         assert_eq!(store.stats().misses, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -658,22 +665,18 @@ mod tests {
         let dir = temp_dir("persist");
         let k = key("s", 4.0);
         let first = ArtifactStore::with_disk(&dir).unwrap();
-        let (_, p) = first
-            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(11))
-            .unwrap();
+        let (_, p) = first.get_or_compute(k, || Ok::<u64, ()>(11)).unwrap();
         assert_eq!(p, Provenance::Computed);
         assert_eq!(first.stats().writes, 1);
 
         // "Restart": a fresh store over the same directory.
         let second = ArtifactStore::with_disk(&dir).unwrap();
         let (v, p) = second
-            .get_or_compute(k, &u64_codec(), || Err::<u64, _>("must not recompute"))
+            .get_or_compute(k, || Err::<u64, _>("must not recompute"))
             .unwrap();
         assert_eq!((*v, p), (11, Provenance::DiskHit));
         // And the decoded value is now memory-resident.
-        let (_, p) = second
-            .get_or_compute(k, &u64_codec(), || Ok::<_, &str>(0))
-            .unwrap();
+        let (_, p) = second.get_or_compute(k, || Ok::<u64, &str>(0)).unwrap();
         assert_eq!(p, Provenance::MemHit);
 
         // No temp files left behind by the atomic writes.
@@ -692,9 +695,7 @@ mod tests {
         let k = key("s", 8.0);
         {
             let store = ArtifactStore::with_disk(&dir).unwrap();
-            store
-                .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(13))
-                .unwrap();
+            store.get_or_compute(k, || Ok::<u64, ()>(13)).unwrap();
         }
         // Corrupt the entry on disk.
         let path = dir
@@ -703,9 +704,7 @@ mod tests {
         std::fs::write(&path, "not a number").unwrap();
 
         let store = ArtifactStore::with_disk(&dir).unwrap();
-        let (v, p) = store
-            .get_or_compute(k, &u64_codec(), || Ok::<_, ()>(13))
-            .unwrap();
+        let (v, p) = store.get_or_compute(k, || Ok::<u64, ()>(13)).unwrap();
         assert_eq!((*v, p), (13, Provenance::Computed));
         assert_eq!(store.stats().invalid, 1);
         assert_eq!(store.stats().writes, 1, "healed entry rewritten");
@@ -723,7 +722,7 @@ mod tests {
         {
             let store = ArtifactStore::with_disk(&dir).unwrap();
             store
-                .get_or_compute(key("s", 2.0), &u64_codec(), || Ok::<_, ()>(5))
+                .get_or_compute(key("s", 2.0), || Ok::<u64, ()>(5))
                 .unwrap();
         }
         // A store opened at a hypothetical older version's directory
@@ -734,7 +733,7 @@ mod tests {
         std::fs::write(stale.join("deadbeef.json"), "99").unwrap();
         let store = ArtifactStore::with_disk(&dir).unwrap();
         let (v, p) = store
-            .get_or_compute(key("s", 3.0), &u64_codec(), || Ok::<_, ()>(6))
+            .get_or_compute(key("s", 3.0), || Ok::<u64, ()>(6))
             .unwrap();
         assert_eq!((*v, p), (6, Provenance::Computed));
         assert!(store
@@ -752,10 +751,10 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     let (v, _) = store
-                        .get_or_compute(key("s", 6.0), &u64_codec(), || {
+                        .get_or_compute(key("s", 6.0), || {
                             calls.fetch_add(1, Ordering::Relaxed);
                             std::thread::sleep(std::time::Duration::from_millis(5));
-                            Ok::<_, ()>(21)
+                            Ok::<u64, ()>(21)
                         })
                         .unwrap();
                     assert_eq!(*v, 21);

@@ -4,9 +4,8 @@ use crate::model::ThermalModel;
 use crate::solver::{solve, SolveConfig, TemperatureField};
 use crate::ThermalError;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use techlib::spec::{InterposerKind, InterposerSpec};
-use techlib::store::{ArtifactStore, Codec, SpecField, StoreKey};
+use techlib::store::{SpecField, Stage};
 
 /// Peak chiplet and interposer temperatures for one assembly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,39 +47,41 @@ impl ThermalReport {
     }
 }
 
-/// Algorithm version of the thermal stage (model build + SOR solve).
-/// Bump whenever the mesh, boundary conditions, solver tolerances, or
-/// the serialized shape of [`ThermalReport`] changes.
-pub const THERMAL_STAGE_VERSION: u32 = 1;
+/// The thermal stage (model build + SOR solve). Bump the version
+/// whenever the mesh, boundary conditions, solver tolerances, or the
+/// serialized shape of [`ThermalReport`] changes.
+///
+/// The projection is what the model reads: `ThermalModel::for_spec`
+/// builds it from the stacking style and the technology's fixed
+/// geometry alone, so every electrical override — loss tangent, wire
+/// rules, dielectric constant — shares one solve.
+pub const THERMAL: Stage = Stage {
+    name: "thermal",
+    version: 1,
+    projection: &[SpecField::Kind, SpecField::Stacking],
+};
 
-/// The spec fields the thermal stage actually consumes. The model is
-/// built from the stacking style and the technology's fixed geometry
-/// (`ThermalModel::for_spec` reads nothing else), so every electrical
-/// override — loss tangent, wire rules, dielectric constant — shares
-/// one solve.
-pub const THERMAL_PROJECTION: &[SpecField] = &[SpecField::Kind, SpecField::Stacking];
-
-/// The thermal stage's store key for `spec`.
-pub fn thermal_store_key(spec: &InterposerSpec) -> StoreKey {
-    techlib::store::projection_key(
-        "thermal",
-        THERMAL_STAGE_VERSION,
-        spec,
-        THERMAL_PROJECTION,
-        &[],
-    )
-}
-
-/// JSON codec for persisted thermal reports.
-fn thermal_codec() -> Codec<ThermalReport> {
-    Codec {
-        encode: |report| serde_json::to_string(report).ok(),
-        decode: |text| serde_json::from_str_typed(text).ok(),
+/// The `thermal.solve` fault site. Study contexts check it ahead of
+/// the store lookup, so an armed fault fires even when the report is
+/// already stored.
+///
+/// # Errors
+///
+/// [`ThermalError::NoConvergence`] after zero iterations when the site
+/// is armed.
+pub fn check_solve_fault() -> Result<(), ThermalError> {
+    if techlib::faults::armed("thermal.solve") {
+        return Err(ThermalError::NoConvergence {
+            iterations: 0,
+            residual_k: f64::INFINITY,
+            tolerance_k: SolveConfig::default().tolerance_k,
+        });
     }
+    Ok(())
 }
 
 /// Builds the thermal model for `spec`, solves it and reports the peaks
-/// — the uncached computation behind [`analyze_in`].
+/// — the computation stored under [`THERMAL`].
 ///
 /// # Errors
 ///
@@ -89,37 +90,6 @@ pub fn analyze_with(spec: &InterposerSpec) -> Result<ThermalReport, ThermalError
     let model = ThermalModel::for_spec(spec)?;
     let field = solve(&model, &SolveConfig::default())?;
     Ok(ThermalReport::from_field(&model, &field))
-}
-
-/// The thermal report for `spec`, looked up in `store` under
-/// [`thermal_store_key`]: every spec sharing the [`THERMAL_PROJECTION`]
-/// shares one solve. The field is solved only on a miss, right after
-/// `on_solve` (study contexts count their solves with it). The
-/// `thermal.solve` fault site is checked ahead of the lookup, so an
-/// armed fault fires even when the report is already stored.
-///
-/// # Errors
-///
-/// Same as [`analyze_with`], plus the `thermal.solve` fault site;
-/// errors never reach the store.
-pub fn analyze_in(
-    store: &ArtifactStore,
-    spec: &InterposerSpec,
-    on_solve: impl FnOnce(),
-) -> Result<Arc<ThermalReport>, ThermalError> {
-    if techlib::faults::armed("thermal.solve") {
-        return Err(ThermalError::NoConvergence {
-            iterations: 0,
-            residual_k: f64::INFINITY,
-            tolerance_k: SolveConfig::default().tolerance_k,
-        });
-    }
-    store
-        .get_or_compute(thermal_store_key(spec), &thermal_codec(), || {
-            on_solve();
-            analyze_with(spec)
-        })
-        .map(|(report, _)| report)
 }
 
 /// The full Fig. 17 family (all six packaged assemblies).
@@ -144,10 +114,13 @@ pub fn figure17() -> Result<Vec<ThermalReport>, ThermalError> {
 /// The paper-default report for `tech`, solved at most once per test
 /// binary: every unit test of this crate reads one shared test store.
 #[cfg(test)]
-fn test_report(tech: InterposerKind) -> Arc<ThermalReport> {
+fn test_report(tech: InterposerKind) -> std::sync::Arc<ThermalReport> {
+    use techlib::store::ArtifactStore;
     static STORE: std::sync::OnceLock<ArtifactStore> = std::sync::OnceLock::new();
     let store = STORE.get_or_init(ArtifactStore::in_memory);
-    analyze_in(store, &InterposerSpec::for_kind(tech), || {}).unwrap()
+    let spec = InterposerSpec::for_kind(tech);
+    let stored = store.get_or_compute(THERMAL.key(&spec, &[]), || analyze_with(&spec));
+    stored.unwrap().0
 }
 
 #[cfg(test)]

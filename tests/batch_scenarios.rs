@@ -2,16 +2,19 @@
 //! byte-for-byte, one shared artifact store per batch that changes no
 //! byte, and per-scenario fault isolation.
 
+use chiplet::report::REPORTS;
 use codesign::batch;
-use codesign::context::{FrontEnd, StudyContext};
+use codesign::context::{FrontEnd, StudyContext, NETLISTS, SPLIT, STAGES};
 use codesign::flow::TechStudy;
 use codesign::scenario::{scenarios_from_json, Scenario, ScenarioOverrides};
-use codesign::table5::MonitorLengths;
+use codesign::table5::{links_key, MonitorLengths, LINKS};
 use codesign::FlowError;
+use interposer::report::LAYOUT;
 use std::collections::HashSet;
 use std::sync::Arc;
 use techlib::spec::{InterposerKind, Stacking};
-use techlib::store::{ArtifactStore, Codec, Provenance, StoreKey};
+use techlib::store::{ArtifactStore, Provenance, StoreKey};
+use thermal::report::{ThermalReport, THERMAL};
 
 /// The paper default plus two perturbed design points.
 fn mixed_batch() -> Vec<Scenario> {
@@ -302,7 +305,11 @@ fn shared_store_sweep_solves_each_thermal_field_once() {
 
     let frontend = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
     let mut thermal_keys = HashSet::new();
-    let mut all_keys: HashSet<StoreKey> = [FrontEnd::split_key(), FrontEnd::netlists_key()].into();
+    let mut all_keys: HashSet<(&str, StoreKey)> = [
+        (SPLIT.name, FrontEnd::split_key()),
+        (NETLISTS.name, FrontEnd::netlists_key()),
+    ]
+    .into();
     for scenario in &scenarios {
         let tech = scenario.tech();
         let ctx = StudyContext::for_scenario_with(
@@ -311,19 +318,23 @@ fn shared_store_sweep_solves_each_thermal_field_once() {
             Some(Arc::clone(&store)),
         );
         let spec = ctx.spec(tech);
-        thermal_keys.insert(thermal::report::thermal_store_key(spec));
-        all_keys.insert(chiplet::report::reports_store_key(
-            spec,
-            FrontEnd::netlists_key(),
-        ));
+        thermal_keys.insert(THERMAL.key(spec, &[]));
+        let netlists = FrontEnd::netlists_key();
+        all_keys.insert((REPORTS.name, REPORTS.key(spec, &[("netlists", netlists)])));
         if !matches!(spec.stacking, Stacking::TsvStack | Stacking::Monolithic) {
-            all_keys.insert(interposer::report::layout_store_key(spec));
+            all_keys.insert((LAYOUT.name, LAYOUT.key(spec, &[])));
         }
         let (l2m, l2l) = codesign::table5::channels_for_in(&ctx, tech, scenario.mode()).unwrap();
-        all_keys.insert(codesign::table5::links_store_key(&ctx, tech, &l2m, &l2l));
+        all_keys.insert((LINKS.name, links_key(&ctx, tech, &l2m, &l2l)));
     }
     assert_eq!(thermal_keys.len(), 3, "one thermal key per technology");
-    all_keys.extend(&thermal_keys);
+    all_keys.extend(thermal_keys.iter().map(|&key| (THERMAL.name, key)));
+    let stages: HashSet<&str> = all_keys.iter().map(|&(stage, _)| stage).collect();
+    assert_eq!(
+        stages,
+        STAGES.map(|s| s.name).into(),
+        "a stage row went uncounted"
+    );
     assert_eq!(
         misses,
         all_keys.len() as u64,
@@ -333,13 +344,9 @@ fn shared_store_sweep_solves_each_thermal_field_once() {
     assert_eq!(store.stats().misses, misses, "deriving the keys recomputed");
     // Each thermal field is stored: a lookup that would fail on a miss
     // is served from memory.
-    let probe: Codec<thermal::report::ThermalReport> = Codec {
-        encode: |_| None,
-        decode: |_| None,
-    };
     for key in thermal_keys {
         let (_, provenance) = store
-            .get_or_compute(key, &probe, || Err("thermal field not stored"))
+            .get_or_compute::<ThermalReport, _>(key, || Err("thermal field not stored"))
             .unwrap();
         assert_eq!(provenance, Provenance::MemHit);
     }

@@ -4,7 +4,8 @@
 //! `FlowError::Deadline` rows (status 504) with the context pool still
 //! reusable afterwards, graceful drain on `POST /shutdown` (which also
 //! cuts an artificial hold short), a disk-backed store that keeps a
-//! restarted server warm, and error bodies that stay JSON.
+//! restarted server warm, out-of-range overrides refused with a 400,
+//! and error bodies that stay JSON.
 
 use codesign::serve::{ServeConfig, Server};
 use std::io::{Read as _, Write as _};
@@ -436,6 +437,27 @@ fn a_restarted_server_answers_from_the_disk_tier() {
             .expect("clean server exit");
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A layer count far beyond any technology's is refused at validation
+/// with a 400 naming the field, before any stage could size a routing
+/// grid by it, and the daemon goes on serving clean sweeps.
+#[test]
+fn an_absurd_layer_count_draws_a_400_and_the_daemon_keeps_serving() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    let tall = r#"[{ "name": "tall", "tech": "glass25d",
+        "overrides": { "signal_metal_layers": 1000000000 } }]"#;
+    let (status, _, body) = request(addr, "POST", "/sweep", &[], tall);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("signal_metal_layers"), "{body}");
+    let (status, _, body) = request(addr, "POST", "/sweep", &[], CLEAN_SWEEP);
+    assert_eq!(status, 200, "{body}");
+    let (status, _, _) = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(status, 200);
+    handle
+        .join()
+        .expect("server thread")
+        .expect("clean server exit");
 }
 
 /// Error bodies stay JSON whatever the message echoes: a path with a raw

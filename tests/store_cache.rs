@@ -5,14 +5,17 @@
 //! simulated restart, at several worker counts), and fault-armed
 //! scenarios never touch the shared store.
 
+use chiplet::report::REPORTS;
 use codesign::batch;
-use codesign::context::{FrontEnd, StudyContext};
+use codesign::context::{FrontEnd, StudyContext, NETLISTS, SPLIT, STAGES};
 use codesign::scenario::{Scenario, ScenarioOverrides};
-use codesign::table5::MonitorLengths;
+use codesign::table5::{MonitorLengths, LINKS};
+use interposer::report::LAYOUT;
 use std::path::PathBuf;
 use std::sync::Arc;
 use techlib::spec::{InterposerKind, InterposerSpec, RoutingStyle, Stacking};
 use techlib::store::{ArtifactStore, SpecField, StoreStats};
+use thermal::report::THERMAL;
 
 /// A fresh per-process scratch directory for a disk-backed store.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -65,47 +68,35 @@ fn perturbed(spec: &InterposerSpec, field: SpecField) -> InterposerSpec {
     s
 }
 
-/// Every spec-projected stage key must change when — and only when — a
-/// field *inside its declared projection* changes. A key that misses a
-/// consumed field would alias two different computations (unsound); a
-/// key that hashes an unconsumed field would split shareable work
-/// (wasteful). The projections are declared as data precisely so this
-/// test can enumerate them.
+/// Every stage key must change when — and only when — a field *inside
+/// its declared projection* changes. A key that misses a consumed field
+/// would alias two different computations (unsound); a key that hashes
+/// an unconsumed field would split shareable work (wasteful). The
+/// projections are declared as data precisely so this test can
+/// enumerate them.
 #[test]
 fn stage_keys_move_exactly_with_their_declared_projections() {
-    type KeyFn<'a> = &'a dyn Fn(&InterposerSpec) -> techlib::store::StoreKey;
-    let netlists = FrontEnd::netlists_key();
-    let stages: [(&str, &[SpecField], KeyFn); 3] = [
-        (
-            "layout",
-            interposer::report::LAYOUT_PROJECTION,
-            &interposer::report::layout_store_key,
-        ),
-        (
-            "thermal",
-            thermal::report::THERMAL_PROJECTION,
-            &thermal::report::thermal_store_key,
-        ),
-        (
-            "chiplet_reports",
-            chiplet::report::REPORTS_PROJECTION,
-            &|spec| chiplet::report::reports_store_key(spec, netlists),
-        ),
-    ];
     for tech in [InterposerKind::Glass25D, InterposerKind::Silicon3D] {
         let base = InterposerSpec::for_kind(tech);
-        for (stage, projection, key_of) in &stages {
+        for stage in &STAGES {
+            let key_of = |spec: &InterposerSpec| stage.key(spec, &[]);
             let base_key = key_of(&base);
-            assert_eq!(base_key, key_of(&base.clone()), "{stage}: key not pure");
+            assert_eq!(
+                base_key,
+                key_of(&base.clone()),
+                "{}: key not pure",
+                stage.name
+            );
             for field in SpecField::ALL {
                 let moved = key_of(&perturbed(&base, field)) != base_key;
                 assert_eq!(
                     moved,
-                    projection.contains(&field),
-                    "{stage} key vs {:?} field {}: projection {:?}",
+                    stage.projection.contains(&field),
+                    "{} key vs {:?} field {}: projection {:?}",
+                    stage.name,
                     tech,
                     field.name(),
-                    projection
+                    stage.projection
                 );
             }
         }
@@ -115,14 +106,25 @@ fn stage_keys_move_exactly_with_their_declared_projections() {
     // artifact, so a different netlists key must move the reports key.
     let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
     assert_ne!(
-        chiplet::report::reports_store_key(&spec, netlists),
-        chiplet::report::reports_store_key(&spec, FrontEnd::split_key()),
+        REPORTS.key(&spec, &[("netlists", FrontEnd::netlists_key())]),
+        REPORTS.key(&spec, &[("netlists", FrontEnd::split_key())]),
         "reports key ignores its netlists upstream"
     );
     // Front-end keys are constants of the built-in design.
     assert_eq!(FrontEnd::split_key(), FrontEnd::split_key());
     assert_eq!(FrontEnd::netlists_key(), FrontEnd::netlists_key());
     assert_ne!(FrontEnd::split_key(), FrontEnd::netlists_key());
+}
+
+/// Every stage row keys a namespace of its own: two rows sharing a name
+/// could share keys, which only the store's type check would notice.
+#[test]
+fn stage_rows_have_pairwise_distinct_names() {
+    for (i, a) in STAGES.iter().enumerate() {
+        for b in &STAGES[i + 1..] {
+            assert_ne!(a.name, b.name, "two stage rows share a key namespace");
+        }
+    }
 }
 
 /// The other half of projection soundness: the artifacts themselves
@@ -146,14 +148,14 @@ fn artifacts_ignore_the_fields_their_projections_leave_out() {
         let (thermal_base, reports_base) = (thermal_json(&base), reports_json(&base));
         for field in SpecField::ALL {
             let spec = perturbed(&base, field);
-            if !thermal::report::THERMAL_PROJECTION.contains(&field) {
+            if !THERMAL.projection.contains(&field) {
                 assert!(
                     thermal_json(&spec) == thermal_base,
                     "{tech:?}: thermal report depends on {}",
                     field.name()
                 );
             }
-            if !chiplet::report::REPORTS_PROJECTION.contains(&field) {
+            if !REPORTS.projection.contains(&field) {
                 assert!(
                     reports_json(&spec) == reports_base,
                     "{tech:?}: chiplet reports depend on {}",
@@ -173,7 +175,7 @@ fn artifacts_ignore_the_fields_their_projections_leave_out() {
         layout.pdn.spec = base.clone();
         serde_json::to_string(&layout).unwrap()
     };
-    assert!(!interposer::report::LAYOUT_PROJECTION.contains(&SpecField::LossTangent));
+    assert!(!LAYOUT.projection.contains(&SpecField::LossTangent));
     assert!(
         layout_json(&perturbed(&base, SpecField::LossTangent)) == layout_json(&base),
         "Glass 3D layout depends on loss_tangent"
@@ -202,8 +204,8 @@ fn loss_tangent_moves_the_links_key_but_not_the_layout_key() {
         .unwrap(),
     );
     assert_eq!(
-        interposer::report::layout_store_key(base.spec(tech)),
-        interposer::report::layout_store_key(lossy.spec(tech)),
+        LAYOUT.key(base.spec(tech), &[]),
+        LAYOUT.key(lossy.spec(tech), &[]),
         "loss tangent must not invalidate the routed layout"
     );
     let (b_l2m, b_l2l) =
@@ -211,8 +213,8 @@ fn loss_tangent_moves_the_links_key_but_not_the_layout_key() {
     let (l_l2m, l_l2l) =
         codesign::table5::channels_for_in(&lossy, tech, MonitorLengths::Routed).unwrap();
     assert_ne!(
-        codesign::table5::links_store_key(&base, tech, &b_l2m, &b_l2l),
-        codesign::table5::links_store_key(&lossy, tech, &l_l2m, &l_l2l),
+        codesign::table5::links_key(&base, tech, &b_l2m, &b_l2l),
+        codesign::table5::links_key(&lossy, tech, &l_l2m, &l_l2l),
         "loss tangent feeds the transient decks, so the links key must move"
     );
 }
@@ -250,11 +252,12 @@ fn si_only_sweep_shares_the_physical_prefix_across_scenarios() {
         batch::run_in_context(ctx, scenario).unwrap();
     }
 
-    // The front-end counters live on the shared front end; the
-    // per-stage counters are per-context and must sum to one compute
-    // for every store-shared stage.
-    assert_eq!(shared.split_compute_count(), 1, "split ran more than once");
-    assert_eq!(shared.netlists_compute_count(), 1);
+    // The front-end counters live on the shared front end, which every
+    // context reports; the other stages' counters are per-context and
+    // must sum to one compute for every store-shared stage.
+    let front = contexts[0].compute_counts();
+    assert_eq!(front.split, 1, "split ran more than once");
+    assert_eq!(front.netlists, 1);
     let sums = contexts
         .iter()
         .map(StudyContext::compute_counts)
@@ -438,38 +441,39 @@ fn disk_artifacts_re_encode_to_their_file_bytes() {
     let tech = scenario.tech();
     let spec = ctx.spec(tech).clone();
     let (l2m, l2l) = codesign::table5::channels_for_in(&ctx, tech, scenario.mode()).unwrap();
-    let artifacts: Vec<(&str, techlib::store::StoreKey, String)> = vec![
+    let artifacts = [
+        (SPLIT, FrontEnd::split_key(), encode(&*ctx.split().unwrap())),
         (
-            "split",
-            FrontEnd::split_key(),
-            encode(&*ctx.split().unwrap()),
-        ),
-        (
-            "netlists",
+            NETLISTS,
             FrontEnd::netlists_key(),
             encode(&*ctx.chiplet_netlists().unwrap()),
         ),
         (
-            "reports",
-            chiplet::report::reports_store_key(&spec, FrontEnd::netlists_key()),
+            REPORTS,
+            REPORTS.key(&spec, &[("netlists", FrontEnd::netlists_key())]),
             encode(&*ctx.chiplet_reports(tech).unwrap()),
         ),
         (
-            "layout",
-            interposer::report::layout_store_key(&spec),
+            LAYOUT,
+            LAYOUT.key(&spec, &[]),
             encode(&*ctx.layout(tech).unwrap()),
         ),
         (
-            "links",
-            codesign::table5::links_store_key(&ctx, tech, &l2m, &l2l),
+            LINKS,
+            codesign::table5::links_key(&ctx, tech, &l2m, &l2l),
             encode(&*ctx.links_row(tech, scenario.mode()).unwrap()),
         ),
         (
-            "thermal",
-            thermal::report::thermal_store_key(&spec),
+            THERMAL,
+            THERMAL.key(&spec, &[]),
             encode(&*ctx.thermal_report(tech).unwrap()),
         ),
     ];
+    assert_eq!(
+        artifacts.each_ref().map(|(stage, ..)| *stage),
+        STAGES,
+        "every stage row is checked"
+    );
     let stats = store.stats();
     assert_eq!(stats.misses, 0, "a stage recomputed: {stats:?}");
     assert_eq!(stats.disk_hits, 6, "every stage read from disk: {stats:?}");
@@ -479,7 +483,8 @@ fn disk_artifacts_re_encode_to_their_file_bytes() {
         let file = std::fs::read_to_string(disk.join(format!("{}.json", key.hex()))).unwrap();
         assert!(
             *encoded == file,
-            "{stage}: the decoded artifact re-encodes to {} bytes, its file has {}",
+            "{}: the decoded artifact re-encodes to {} bytes, its file has {}",
+            stage.name,
             encoded.len(),
             file.len()
         );
