@@ -111,6 +111,26 @@ test "$(counter /tmp/codesign_shared_stats.txt router.expansions)" -eq 6017774
 echo "    shared sweep: byte-identical, $SHARED_SWEEPS SOR sweeps (= the 3 paper points)," \
     "pinned pops/expansions"
 
+# Fault-injection smoke: every fault site armed through CODESIGN_FAULTS
+# must fail the Glass 2.5D study with its typed error, exit 1: not 0
+# (the site was never reached) and not 101 (a panic). The sites are
+# read from `techlib::faults::SITES`; the count check catches a change
+# to that list's layout that the read would silently miss.
+echo "==> fault-injection smoke (CODESIGN_FAULTS=<site> codesign glass25d exits 1)"
+SITES=$(sed -n 's/^    "\([a-z]*\.[a-z]*\)", *\/\/.*/\1/p' crates/techlib/src/faults.rs)
+test "$(echo "$SITES" | wc -l)" -eq 8
+for SITE in $SITES; do
+    STATUS=0
+    CODESIGN_FAULTS=$SITE cargo run --release -q -p codesign --bin codesign -- glass25d \
+        > /dev/null 2> /tmp/codesign_fault_stderr.txt || STATUS=$?
+    if [ "$STATUS" -ne 1 ] || ! grep -q '^error: ' /tmp/codesign_fault_stderr.txt; then
+        echo "CODESIGN_FAULTS=$SITE exited $STATUS, expected 1 with an error line" >&2
+        cat /tmp/codesign_fault_stderr.txt >&2
+        exit 1
+    fi
+done
+echo "    fault injection: all $(echo "$SITES" | wc -l) sites fail with exit 1"
+
 # Summed route.nets milliseconds of a --stats table; fails when the
 # table has no route.nets row, so a run that never routed cannot pass.
 route_ms() {

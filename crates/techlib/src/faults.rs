@@ -9,36 +9,28 @@
 //! }
 //! ```
 //!
-//! Sites are armed either programmatically ([`arm`] / [`Site::arm`], used
-//! by `tests/flow_faults.rs`) or via the `CODESIGN_FAULTS` environment
-//! variable (`CODESIGN_FAULTS=router.escape,thermal.sor`), which is read
-//! once when the armed set is first consulted. Arming is a plain set
-//! lookup — no counters, no randomness — so an armed site fires on
-//! **every** traversal, which is what makes injected failures
-//! deterministic regardless of the worker count: the parallel flow and
-//! the sequential flow hit exactly the same error at exactly the same
-//! stage.
-//!
-//! # Scoped arming
-//!
-//! Besides the process-global set, faults can be armed inside a
-//! **scope** ([`scoped`]): a registered site set that only fires on
-//! threads currently *inside* that scope. The batch scenario engine uses
-//! this to inject a fault into one scenario of a concurrent sweep without
-//! touching the others. Scope membership is a thread-local; the
-//! [`crate::par`] fork/join helpers propagate the caller's scope into
-//! every worker they spawn, so a scope entered at a scenario's root
-//! covers all of its nested parallelism.
+//! A site is armed in one of two ways. The `CODESIGN_FAULTS` environment
+//! variable (`CODESIGN_FAULTS=router.escape,thermal.sor`), read once when
+//! a site is first checked, arms sites for the whole process. [`scoped`]
+//! arms sites in the calling thread's request scope ([`crate::scope`]):
+//! they fire only on that thread and in the pool tasks [`crate::par`]
+//! runs on its behalf, so the batch scenario engine injects a fault into
+//! one scenario of a concurrent sweep without touching the others.
+//! Arming is a plain set lookup — no counters, no randomness — so an
+//! armed site fires on **every** traversal, which is what makes injected
+//! failures deterministic regardless of the worker count: the parallel
+//! flow and the sequential flow hit exactly the same error at exactly
+//! the same stage.
 //!
 //! The injected error is always the *natural* typed error of the faulted
 //! stage (a singular pivot for `circuit.lu`, an unroutable net for
 //! `router.escape`, ...), so fault tests exercise the same propagation
 //! path a real failure would take.
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+use crate::scope::{self, Guard};
 
 /// Environment variable holding a comma-separated list of sites to arm.
 pub const FAULTS_ENV: &str = "CODESIGN_FAULTS";
@@ -58,8 +50,9 @@ pub const SITES: &[&str] = &[
     "thermal.sor",      // thermal: SOR convergence loop
 ];
 
-fn armed_set() -> &'static Mutex<BTreeSet<String>> {
-    static SET: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
+/// The sites `CODESIGN_FAULTS` arms, read and checked once.
+fn env_armed() -> &'static BTreeSet<String> {
+    static SET: OnceLock<BTreeSet<String>> = OnceLock::new();
     SET.get_or_init(|| {
         let mut set = BTreeSet::new();
         if let Ok(raw) = std::env::var(FAULTS_ENV) {
@@ -73,186 +66,26 @@ fn armed_set() -> &'static Mutex<BTreeSet<String>> {
                 set.insert(name.to_string());
             }
         }
-        Mutex::new(set)
+        set
     })
 }
 
-fn lock() -> MutexGuard<'static, BTreeSet<String>> {
-    // A poisoned lock only means another thread panicked while holding
-    // it; the set itself is always in a consistent state.
-    armed_set().lock().unwrap_or_else(PoisonError::into_inner)
+/// True when the named site is armed, either by `CODESIGN_FAULTS` or in
+/// the calling thread's scope.
+pub fn armed(name: &str) -> bool {
+    env_armed().contains(name) || scope::read(|s| s.faults.contains(name))
 }
 
-// ---------------------------------------------------------------------
-// Scoped arming.
-// ---------------------------------------------------------------------
-
-/// Identifier of a registered fault scope. `Copy` so it can be captured
-/// into worker closures; resolving a released scope simply finds no
-/// armed sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScopeId(u64);
-
-static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// The scope the current thread is inside (0 = none).
-    static CURRENT_SCOPE: Cell<u64> = const { Cell::new(0) };
-}
-
-fn scope_registry() -> &'static Mutex<BTreeMap<u64, BTreeSet<String>>> {
-    static SCOPES: OnceLock<Mutex<BTreeMap<u64, BTreeSet<String>>>> = OnceLock::new();
-    SCOPES.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn scopes_lock() -> MutexGuard<'static, BTreeMap<u64, BTreeSet<String>>> {
-    scope_registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The scope the calling thread is currently inside, if any. Fork/join
-/// helpers capture this in the parent and [`enter_scope`] it in each
-/// worker so scope membership survives nested parallelism.
-pub fn current_scope() -> Option<ScopeId> {
-    let id = CURRENT_SCOPE.with(Cell::get);
-    (id != 0).then_some(ScopeId(id))
-}
-
-/// Makes the calling thread a member of `scope` (or of no scope for
-/// `None`) until the returned guard drops, restoring the previous
-/// membership. Used by [`crate::par`] to hand a parent's scope to its
-/// workers; scenario code should prefer [`scoped`].
-pub fn enter_scope(scope: Option<ScopeId>) -> ScopeGuard {
-    let new = scope.map_or(0, |s| s.0);
-    let previous = CURRENT_SCOPE.with(|c| c.replace(new));
-    ScopeGuard { previous }
-}
-
-/// RAII guard from [`enter_scope`]; restores the thread's previous scope
-/// membership when dropped. Deliberately `!Send` (thread-local state).
-#[derive(Debug)]
-pub struct ScopeGuard {
-    previous: u64,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        CURRENT_SCOPE.with(|c| c.set(self.previous));
-    }
-}
-
-/// Registers a fault scope arming `sites` and enters it on the calling
-/// thread. The scope fires only for threads inside it (directly or via
-/// [`crate::par`] propagation); dropping the returned handle leaves the
-/// scope and unregisters it. Unknown site names are accepted here —
-/// callers that want typed validation check against [`SITES`] first.
-pub fn scoped<I, S>(sites: I) -> FaultScope
+/// Arms exactly `sites` in the calling thread's scope until the returned
+/// guard drops; an enclosing fault scope's sites are not armed inside
+/// it. Unknown site names are accepted here — callers that want typed
+/// validation check against [`SITES`] first.
+pub fn scoped<I, S>(sites: I) -> Guard
 where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
-    let id = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
-    let set: BTreeSet<String> = sites.into_iter().map(Into::into).collect();
-    scopes_lock().insert(id, set);
-    FaultScope {
-        id: ScopeId(id),
-        _guard: enter_scope(Some(ScopeId(id))),
-    }
-}
-
-/// A live fault scope from [`scoped`]: the calling thread is a member
-/// until this drops, which also unregisters the scope's site set.
-#[derive(Debug)]
-pub struct FaultScope {
-    id: ScopeId,
-    _guard: ScopeGuard,
-}
-
-impl FaultScope {
-    /// The scope's identifier (for explicit [`enter_scope`] calls).
-    pub fn id(&self) -> ScopeId {
-        self.id
-    }
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        scopes_lock().remove(&self.id.0);
-        // self._guard drops next, restoring the thread's previous scope.
-    }
-}
-
-fn scope_armed(name: &str) -> bool {
-    let id = CURRENT_SCOPE.with(Cell::get);
-    if id == 0 {
-        return false;
-    }
-    scopes_lock().get(&id).is_some_and(|set| set.contains(name))
-}
-
-// ---------------------------------------------------------------------
-// Global arming (process-wide, used by the fault-injection test suite).
-// ---------------------------------------------------------------------
-
-/// True when the named site is currently armed, either process-globally
-/// or in the calling thread's fault scope.
-pub fn armed(name: &str) -> bool {
-    lock().contains(name) || scope_armed(name)
-}
-
-/// Arms `name` for the rest of the process (or until [`disarm`]).
-pub fn arm(name: &str) {
-    lock().insert(name.to_string());
-}
-
-/// Disarms `name` (globally; scopes are controlled by their handles).
-pub fn disarm(name: &str) {
-    lock().remove(name);
-}
-
-/// Disarms every globally armed site.
-pub fn clear() {
-    lock().clear();
-}
-
-/// A handle to a named fault site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Site(&'static str);
-
-/// Looks up the handle for a named site.
-pub const fn site(name: &'static str) -> Site {
-    Site(name)
-}
-
-impl Site {
-    /// The site's name.
-    pub fn name(self) -> &'static str {
-        self.0
-    }
-
-    /// True when this site is armed.
-    pub fn armed(self) -> bool {
-        armed(self.0)
-    }
-
-    /// Arms the site, returning a guard that disarms it on drop —
-    /// the form tests use so a failing assertion cannot leave the site
-    /// armed for unrelated tests.
-    pub fn arm(self) -> ArmGuard {
-        arm(self.0);
-        ArmGuard(self.0)
-    }
-}
-
-/// RAII guard from [`Site::arm`]; disarms the site when dropped.
-#[derive(Debug)]
-pub struct ArmGuard(&'static str);
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        disarm(self.0);
-    }
+    scope::enter_with(|s| s.faults = sites.into_iter().map(Into::into).collect())
 }
 
 #[cfg(test)]
@@ -260,28 +93,9 @@ impl Drop for ArmGuard {
 mod tests {
     use super::*;
 
-    #[test]
-    fn arming_and_disarming_round_trips() {
-        // One test exercises the whole lifecycle so the shared global
-        // set never sees interleaved arming from parallel tests.
-        assert!(!armed("router.escape"));
-        arm("router.escape");
-        assert!(armed("router.escape"));
-        assert!(site("router.escape").armed());
-        disarm("router.escape");
-        assert!(!armed("router.escape"));
-
-        {
-            let _guard = site("circuit.lu").arm();
-            assert!(armed("circuit.lu"));
-        }
-        assert!(!armed("circuit.lu"), "guard disarms on drop");
-
-        arm("thermal.sor");
-        arm("si.link");
-        clear();
-        assert!(!armed("thermal.sor"));
-        assert!(!armed("si.link"));
+    /// The sites armed in the calling thread's scope.
+    fn scope_sites() -> Vec<String> {
+        scope::read(|s| s.faults.iter().cloned().collect())
     }
 
     #[test]
@@ -295,55 +109,46 @@ mod tests {
     fn scoped_arming_is_thread_local() {
         // Scoped sites fire only inside the scope…
         assert!(!armed("partition.split"));
-        let scope = scoped(["partition.split"]);
+        let guard = scoped(["partition.split"]);
         assert!(armed("partition.split"));
-        assert_eq!(current_scope(), Some(scope.id()));
+        assert_eq!(scope_sites(), ["partition.split"]);
 
         // …and never on a thread that did not enter it.
         std::thread::scope(|s| {
             s.spawn(|| {
                 assert!(!armed("partition.split"), "foreign thread sees the scope");
-                assert_eq!(current_scope(), None);
+                assert!(scope::current().is_none());
             });
         });
 
         // A worker that explicitly enters the scope does see it — this is
         // what par::ordered_map does on the caller's behalf.
-        let id = scope.id();
+        let captured = scope::current();
         std::thread::scope(|s| {
             s.spawn(move || {
-                let _g = enter_scope(Some(id));
+                let _g = scope::enter(captured);
                 assert!(armed("partition.split"));
             });
         });
 
-        drop(scope);
+        drop(guard);
         assert!(!armed("partition.split"), "dropping the scope disarms");
-        assert_eq!(current_scope(), None);
+        assert!(scope::current().is_none());
     }
 
     #[test]
     fn scopes_nest_and_restore() {
         let outer = scoped(["si.link"]);
         {
-            let inner = scoped(["thermal.sor"]);
+            let _inner = scoped(["thermal.sor"]);
             // The innermost scope wins: a thread is in exactly one scope.
             assert!(armed("thermal.sor"));
             assert!(!armed("si.link"));
-            assert_eq!(current_scope(), Some(inner.id()));
+            assert_eq!(scope_sites(), ["thermal.sor"]);
         }
         assert!(armed("si.link"), "inner drop restores the outer scope");
         assert!(!armed("thermal.sor"));
         drop(outer);
         assert!(!armed("si.link"));
-    }
-
-    #[test]
-    fn entering_a_released_scope_arms_nothing() {
-        let scope = scoped(["circuit.lu"]);
-        let id = scope.id();
-        drop(scope);
-        let _g = enter_scope(Some(id));
-        assert!(!armed("circuit.lu"), "released scopes resolve to empty");
     }
 }

@@ -34,6 +34,7 @@ pub mod material;
 pub mod obs;
 pub mod par;
 pub mod reliability;
+pub mod scope;
 pub mod spec;
 pub mod stackup;
 pub mod store;

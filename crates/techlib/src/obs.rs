@@ -24,12 +24,12 @@
 //!
 //! # Scenario labels
 //!
-//! Span attribution follows the same thread-scoped pattern as
-//! [`crate::faults`]: a flow entry point installs a label with
-//! [`label_scope_with`], and the [`crate::par`] fork/join helpers carry
-//! the caller's label into every task they hand to a pool worker
-//! ([`current_label`] / [`enter_label`]), so nested parallelism inside a
-//! scenario still attributes its spans to that scenario.
+//! A flow entry point names its spans with [`label_scope_with`], which
+//! sets the label field of the calling thread's request scope
+//! ([`crate::scope`]). The [`crate::par`] fork/join helpers carry that
+//! scope into every task they hand to a pool worker, so nested
+//! parallelism inside a scenario still attributes its spans to that
+//! scenario.
 //!
 //! # Output
 //!
@@ -39,11 +39,13 @@
 //! Both are snapshots — recording continues afterwards unless the
 //! buffers are cleared with [`reset`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
+
+use crate::scope::{self, Guard};
 
 /// Environment variable the `codesign` CLI reads as a default trace
 /// output path (equivalent to passing `--trace <path>`).
@@ -204,8 +206,6 @@ pub fn counter_totals() -> Vec<(&'static str, u64)> {
 // ---------------------------------------------------------------------
 
 thread_local! {
-    /// The scenario label spans on this thread are attributed to.
-    static LABEL: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
     /// Lazily assigned per-thread id (0 = not yet assigned).
     static WORKER: Cell<u64> = const { Cell::new(0) };
 }
@@ -224,49 +224,20 @@ fn worker_id() -> u64 {
     })
 }
 
-/// The calling thread's current scenario label, if recording is enabled
-/// and a label scope is active. Fork/join helpers capture this in the
-/// parent and [`enter_label`] it in each worker (mirroring
-/// [`crate::faults::current_scope`] propagation).
-pub fn current_label() -> Option<Arc<str>> {
+/// Labels the spans the calling thread records, and those of the pool
+/// tasks it hands out, with `f()` until the returned guard drops. While
+/// recording is disabled `f` is never called, so the label's allocation
+/// is never paid, and the scope is left as it is.
+pub fn label_scope_with(f: impl FnOnce() -> String) -> Guard {
     if !is_enabled() {
-        return None;
+        return scope::enter(scope::current());
     }
-    LABEL.with(|l| l.borrow().clone())
+    scope::enter_with(|s| s.label = Some(Arc::from(f())))
 }
 
-/// Installs `label` as the calling thread's span-attribution label
-/// until the returned guard drops (restoring the previous one). A
-/// `None` label while recording is disabled is a free no-op.
-pub fn enter_label(label: Option<Arc<str>>) -> LabelGuard {
-    if label.is_none() && !is_enabled() {
-        return LabelGuard(None);
-    }
-    let previous = LABEL.with(|l| l.replace(label));
-    LabelGuard(Some(previous))
-}
-
-/// Builds a label only when recording is enabled (so the closure's
-/// allocation is never paid on the disabled path) and installs it via
-/// [`enter_label`].
-pub fn label_scope_with(f: impl FnOnce() -> String) -> LabelGuard {
-    if !is_enabled() {
-        return LabelGuard(None);
-    }
-    enter_label(Some(Arc::from(f().as_str())))
-}
-
-/// RAII guard from [`enter_label`]; restores the thread's previous
-/// label when dropped. Deliberately `!Send` (thread-local state).
-#[derive(Debug)]
-pub struct LabelGuard(Option<Option<Arc<str>>>);
-
-impl Drop for LabelGuard {
-    fn drop(&mut self) {
-        if let Some(previous) = self.0.take() {
-            LABEL.with(|l| *l.borrow_mut() = previous);
-        }
-    }
+/// The label of the calling thread's scope.
+fn label() -> Option<Arc<str>> {
+    scope::read(|s| s.label.clone())
 }
 
 // ---------------------------------------------------------------------
@@ -320,7 +291,7 @@ impl Drop for Span {
         let start_us = span_us(start.saturating_duration_since(epoch()).as_micros());
         let record = SpanRecord {
             stage,
-            label: LABEL.with(|l| l.borrow().clone()),
+            label: label(),
             worker: worker_id(),
             start_us,
             dur_us,
@@ -484,7 +455,7 @@ mod tests {
     use super::*;
 
     // Recording state is process-global, so one test drives the whole
-    // lifecycle (the same pattern faults.rs uses for its global set).
+    // lifecycle.
     #[test]
     fn spans_counters_and_trace_round_trip() {
         // Disabled: spans are inert and counters don't move.
@@ -498,7 +469,7 @@ mod tests {
             add(CIRCUIT_LU_FACTOR, 3);
         }
         assert_eq!(counter_totals(), before);
-        assert!(current_label().is_none());
+        assert!(label().is_none());
 
         enable();
         assert!(is_enabled());
@@ -507,12 +478,12 @@ mod tests {
         // Labeled span + counters record and aggregate.
         {
             let _label = label_scope_with(|| "scenario-a".to_string());
-            assert_eq!(current_label().as_deref(), Some("scenario-a"));
+            assert_eq!(label().as_deref(), Some("scenario-a"));
             let _s = span("stage.test");
             add(CIRCUIT_LU_FACTOR, 2);
             add(CIRCUIT_LU_SOLVE, 5);
         }
-        assert!(current_label().is_none(), "label scope restores");
+        assert!(label().is_none(), "label scope restores");
         {
             let _s = span("stage.test");
         }
@@ -539,13 +510,13 @@ mod tests {
         assert!(table.contains("store.mem_hit"), "{table}");
 
         // Labels propagate by explicit handoff, as par workers do it.
-        let label = {
+        let captured = {
             let _label = label_scope_with(|| "scenario-b".to_string());
-            current_label()
+            scope::current()
         };
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _g = enter_label(label.clone());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = scope::enter(captured);
                 let _s = span("stage.worker");
             });
         });

@@ -19,6 +19,12 @@
 //! deadlock however busy the pool is, and every level shares the same
 //! bounded set of threads.
 //!
+//! Every task runs in the submitting thread's request scope
+//! ([`crate::scope`]): the fan-out captures that one value per task and
+//! the thread that runs the task enters it for the task's duration, so
+//! fault sites, a request's deadline and span labels reach nested
+//! parallelism. A worker's own scope is empty between tasks.
+//!
 //! Thread count comes from the `CODESIGN_THREADS` environment variable
 //! (default: available parallelism), read once per process. Setting
 //! `CODESIGN_THREADS=1` starts no worker and runs every helper in this
@@ -198,7 +204,7 @@ where
         // loop ever touches `slots.0[i]`.
         unsafe { *shared.0[i].get() = Some(out) };
     };
-    let jobs = (0..helpers).map(|_| in_callers_scopes(claim)).collect();
+    let jobs = (0..helpers).map(|_| in_callers_scope(claim)).collect();
     scatter(jobs, claim);
     slots
         .0
@@ -229,7 +235,7 @@ where
         return (a(), b());
     }
     let mut rb = None;
-    let ra = scatter(vec![in_callers_scopes(|| rb = Some(b()))], a);
+    let ra = scatter(vec![in_callers_scope(|| rb = Some(b()))], a);
     match rb {
         Some(rb) => (ra, rb),
         None => unreachable!("the second branch ran before scatter returned"),
@@ -335,18 +341,14 @@ impl Task {
     }
 }
 
-/// Wraps `job` so it runs inside the caller's fault scope, deadline
-/// scope and observability label on whichever thread picks it up, so
+/// Wraps `job` so it runs inside the caller's request scope
+/// ([`crate::scope`]) on whichever thread picks it up, so
 /// scenario-scoped fault injection, a request's deadline and span
 /// attribution behave identically at any width.
-fn in_callers_scopes<'a>(job: impl FnOnce() + Send + 'a) -> Job<'a> {
-    let fault_scope = crate::faults::current_scope();
-    let cancel_scope = crate::cancel::current_scope();
-    let obs_label = crate::obs::current_label();
+fn in_callers_scope<'a>(job: impl FnOnce() + Send + 'a) -> Job<'a> {
+    let scope = crate::scope::current();
     Box::new(move || {
-        let _scope = crate::faults::enter_scope(fault_scope);
-        let _deadline = crate::cancel::enter_scope(cancel_scope);
-        let _label = crate::obs::enter_label(obs_label);
+        let _scope = crate::scope::enter(scope);
         job();
     })
 }
@@ -514,41 +516,84 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn pool_workers_run_tasks_in_the_callers_scopes() {
-        let _faults = crate::faults::scoped(["partition.split"]);
-        let _deadline = crate::cancel::deadline_at(
+    /// What a task sees of its scope: the thread it ran on, whether
+    /// `partition.split` is armed, whether its deadline has passed, and
+    /// its label.
+    fn probe() -> (std::thread::ThreadId, bool, bool, Option<String>) {
+        (
+            std::thread::current().id(),
+            crate::faults::armed("partition.split"),
+            crate::cancel::expired(),
+            crate::scope::read(|s| s.label.as_deref().map(str::to_string)),
+        )
+    }
+
+    /// Enters a fault scope, an expired deadline and a label (set
+    /// directly, as `obs::label_scope_with` does once recording is on,
+    /// so recording stays off for the other tests in this binary). The
+    /// guards come innermost first, so dropping the array restores the
+    /// scopes in LIFO order.
+    fn enter_every_field() -> [crate::scope::Guard; 3] {
+        let faults = crate::faults::scoped(["partition.split"]);
+        let deadline = crate::cancel::deadline_at(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         );
+        let label = crate::scope::enter_with(|s| s.label = Some("scenario-p".into()));
+        [label, deadline, faults]
+    }
+
+    #[test]
+    fn pool_workers_run_tasks_in_the_callers_scopes() {
+        let _guards = enter_every_field();
         let caller = std::thread::current().id();
-        let Some(seen) = on_the_caller_and_a_worker(|| {
-            (
-                std::thread::current().id(),
-                crate::faults::armed("partition.split"),
-                crate::cancel::expired(),
-            )
-        }) else {
+        let Some(seen) = on_the_caller_and_a_worker(probe) else {
             return;
         };
-        assert!(seen.iter().any(|&(id, _, _)| id != caller));
-        assert!(seen.iter().all(|&(_, armed, expired)| armed && expired));
+        assert!(seen.iter().any(|(id, ..)| *id != caller));
+        for (_, armed, expired, label) in &seen {
+            assert!(*armed && *expired);
+            assert_eq!(
+                label.as_deref(),
+                Some("scenario-p"),
+                "the label reaches the pool"
+            );
+        }
 
         // `join`'s first branch waits for its second, which therefore
         // runs on a worker.
         let both = std::sync::Barrier::new(2);
-        let (_, (on, armed, expired)) = join(
+        let (_, (on, armed, expired, label)) = join(
             || both.wait(),
             || {
                 both.wait();
-                (
-                    std::thread::current().id(),
-                    crate::faults::armed("partition.split"),
-                    crate::cancel::expired(),
-                )
+                probe()
             },
         );
         assert_ne!(on, caller);
         assert!(armed && expired, "join's second branch sees the scopes");
+        assert_eq!(label.as_deref(), Some("scenario-p"));
+    }
+
+    #[test]
+    fn a_finished_scope_never_reaches_a_later_task_on_a_worker() {
+        let caller = std::thread::current().id();
+        let guards = enter_every_field();
+        let Some(inside) = on_the_caller_and_a_worker(probe) else {
+            return;
+        };
+        assert!(inside.iter().any(|(id, ..)| *id != caller));
+        assert!(inside
+            .iter()
+            .all(|(_, armed, expired, label)| *armed && *expired && label.is_some()));
+        drop(guards);
+
+        let after = on_the_caller_and_a_worker(probe).expect("the pool is still there");
+        assert!(after.iter().any(|(id, ..)| *id != caller));
+        for (_, armed, expired, label) in &after {
+            assert!(!armed, "a released fault scope arms nothing");
+            assert!(!expired, "a released deadline expires nothing");
+            assert_eq!(*label, None, "a released label names nothing");
+        }
     }
 
     #[test]

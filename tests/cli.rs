@@ -1,7 +1,8 @@
 //! Integration tests for the `codesign` binary: exit codes (0 clean /
 //! 1 scenario failure / 2 usage errors), `--json` output parsing for
 //! `sweep` and `--all`, the per-scenario error row format, and the
-//! `--trace` / `CODESIGN_TRACE` observability outputs.
+//! `--trace` / `CODESIGN_TRACE` observability outputs, and fault sites
+//! armed through `CODESIGN_FAULTS`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -169,6 +170,25 @@ fn failing_scenario_exits_one_with_an_error_row_and_still_traces() {
 
     let _ = std::fs::remove_file(&scenarios);
     let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
+fn environment_armed_fault_fails_the_run_with_a_typed_error() {
+    // One known site and one typo: the known one fails routing, the
+    // unknown one draws a warning and is otherwise ignored.
+    let out = codesign()
+        .arg("glass25d")
+        .env("CODESIGN_FAULTS", "router.escape,router.escap")
+        .output()
+        .expect("codesign runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("net 0 is unroutable"), "{stderr}");
+    assert!(
+        stderr.contains("unknown fault site \"router.escap\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -11,9 +11,11 @@
 //! 2. failures are never memoized: after disarming, the flow reruns from
 //!    scratch and serializes byte-identically to the pre-fault baseline.
 //!
-//! Everything lives in one `#[test]`: fault arming is process-global
-//! state, so the scenarios must not interleave with each other (separate
-//! test *binaries* are fine — faults do not cross processes).
+//! Each site is armed with `faults::scoped`, so it fires only on the
+//! test's thread and in the pool tasks the flow hands out from it:
+//! every site is reached on threads that inherit the caller's scope.
+//! Everything lives in one `#[test]` so the sites share one baseline
+//! study.
 
 use codesign::flow::{run_all_in, run_all_sequential, run_tech_in};
 use codesign::table5::MonitorLengths;
@@ -55,7 +57,7 @@ fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
         // the SOR loop) are actually reached instead of short-circuited
         // by a store hit.
         ctx.store().clear();
-        let guard = faults::site(site).arm();
+        let guard = faults::scoped([site]);
 
         let par = run_all_in(&ctx, MonitorLengths::Routed)
             .expect_err(&format!("{site}: armed fault must fail the flow"));
@@ -75,7 +77,7 @@ fn every_fault_site_surfaces_as_a_typed_error_and_never_poisons_the_cache() {
     // completes while `router.escape` is armed.
     ctx.store().clear();
     {
-        let _guard = faults::site("router.escape").arm();
+        let _guard = faults::scoped(["router.escape"]);
         let study = run_tech_in(&ctx, InterposerKind::Silicon3D, MonitorLengths::Routed)
             .expect("Silicon 3D does not route, so the router fault must not reach it");
         assert!(study.routing.is_none());
