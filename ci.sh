@@ -89,7 +89,9 @@ echo "    warm cache: byte-identical, served from disk, zero recomputes"
 # per technology, however many scenarios share it. Its router work is
 # pinned too, so a search change shows on a knob sweep and not only on
 # the paper's six techs; like the six-tech pins below, a deliberate
-# search change re-pins these counts.
+# search change re-pins these counts. The routed-net count also pins the
+# sharing: a tech's loss-tangent and metal-thickness scenarios share
+# one route, so the twelve scenarios route six layouts.
 echo "==> shared-store sweep smoke (parallel == sequential, one thermal solve per tech, pinned router work)"
 rm -f /tmp/codesign_shared_par.json /tmp/codesign_shared_seq.json
 cargo run --release -q -p codesign --bin codesign -- \
@@ -106,10 +108,11 @@ SHARED_SWEEPS=$(counter /tmp/codesign_shared_stats.txt thermal.sor_sweeps)
 PAPER_SWEEPS=$(counter /tmp/codesign_paper_stats.txt thermal.sor_sweeps)
 test -n "$SHARED_SWEEPS" && test "$SHARED_SWEEPS" -gt 0
 test "$SHARED_SWEEPS" -eq "$PAPER_SWEEPS"
-test "$(counter /tmp/codesign_shared_stats.txt router.heap_pops)" -eq 8595374
-test "$(counter /tmp/codesign_shared_stats.txt router.expansions)" -eq 6017774
+test "$(counter /tmp/codesign_shared_stats.txt router.nets_routed)" -eq 1794
+test "$(counter /tmp/codesign_shared_stats.txt router.heap_pops)" -eq 6486564
+test "$(counter /tmp/codesign_shared_stats.txt router.expansions)" -eq 4540787
 echo "    shared sweep: byte-identical, $SHARED_SWEEPS SOR sweeps (= the 3 paper points)," \
-    "pinned pops/expansions"
+    "pinned nets/pops/expansions"
 
 # Fault-injection smoke: every fault site armed through CODESIGN_FAULTS
 # must fail the Glass 2.5D study with its typed error, exit 1: not 0

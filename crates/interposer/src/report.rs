@@ -6,7 +6,6 @@
 
 use crate::diemap::{self, DiePlacement, NetClass};
 use crate::grid::RoutingGrid;
-use crate::pdn::PdnPlan;
 use crate::router::{self, RoutedNet};
 use crate::stats::RoutingStats;
 use crate::RouteError;
@@ -17,27 +16,18 @@ use techlib::store::{SpecField, Stage};
 /// The complete interposer layout for one technology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InterposerLayout {
-    /// The interposer spec the layout was placed and routed against
-    /// (carries any scenario overrides into downstream length queries).
-    pub spec: InterposerSpec,
     /// Die placement and global nets.
     pub placement: DiePlacement,
     /// Routed lateral nets.
     pub routed_nets: Vec<RoutedNet>,
     /// Table IV statistics.
     pub stats: RoutingStats,
-    /// Power delivery network.
-    pub pdn: PdnPlan,
 }
 
 impl InterposerLayout {
     /// The routed length of the worst (longest) net of `class`, µm.
-    /// Stacked-via classes return the via-column height instead.
+    /// Stacked-via nets are never routed, so their class reads 0.
     pub fn worst_net_um(&self, class: NetClass) -> f64 {
-        if class == NetClass::IntraTileStackedVia {
-            let (_, _, _, len) = techlib::via::stacked_via_column(&self.spec, 3);
-            return len;
-        }
         self.routed_nets
             .iter()
             .filter(|n| self.placement.nets[n.id].class == class)
@@ -61,26 +51,23 @@ impl InterposerLayout {
     }
 }
 
-/// The layout stage (place + route + PDN). Bump the version whenever
-/// placement, routing, PDN generation, or the serialized shape of
+/// The layout stage (place + route + Table IV stats). Bump the version
+/// whenever placement, routing, or the serialized shape of
 /// [`InterposerLayout`] changes, so persisted artifacts from older
 /// binaries miss instead of resurfacing stale results.
 ///
-/// The projection is every spec field *except* `loss_tangent`, which
-/// only the SI link simulation reads. Placement reads the geometry
-/// fields, the routing grid reads the wire rules, and the PDN plan
-/// reads `dielectric_constant` (plane capacitance), so those all stay
-/// in. A sweep that only varies `loss_tangent` therefore shares one
-/// layout across scenarios.
+/// The projection is exactly what placement, the routing grid and the
+/// router read: the die geometry and the wire rules. The stack-up
+/// (metal and dielectric thickness, dielectric constant, core
+/// thickness) and `loss_tangent` stay out, so scenarios that vary only
+/// those share one routed layout. The layout holds no spec and no PDN
+/// plan; PI and cost rebuild the plan from placement alone.
 pub const LAYOUT: Stage = Stage {
     name: "layout",
-    version: 1,
+    version: 2,
     projection: &[
         SpecField::Kind,
         SpecField::SignalMetalLayers,
-        SpecField::MetalThicknessUm,
-        SpecField::DielectricThicknessUm,
-        SpecField::DielectricConstant,
         SpecField::MinWireWidthUm,
         SpecField::MinWireSpaceUm,
         SpecField::ViaSizeUm,
@@ -89,7 +76,6 @@ pub const LAYOUT: Stage = Stage {
         SpecField::MicrobumpPitchUm,
         SpecField::Stacking,
         SpecField::RoutingStyle,
-        SpecField::CoreThicknessUm,
     ],
 };
 
@@ -139,16 +125,10 @@ pub fn place_and_route_with(spec: &InterposerSpec) -> Result<InterposerLayout, R
         router::route_all(&placement, &grid)?
     };
     let stats = RoutingStats::from_routing(&placement, &routed);
-    let pdn = {
-        let _span = techlib::obs::span("route.pdn");
-        PdnPlan::generate_with(spec, placement.footprint_um)
-    };
     Ok(InterposerLayout {
-        spec: spec.clone(),
         placement,
         routed_nets: routed,
         stats,
-        pdn,
     })
 }
 
@@ -174,16 +154,9 @@ mod tests {
             let layout = test_layout(tech);
             assert!(!layout.routed_nets.is_empty(), "{tech}");
             assert!(layout.stats.total_wl_mm > 0.0, "{tech}");
-            // Power integrity and cost read the PDN plan and the area
-            // from placement alone; both must equal the routed layout's.
-            let spec = InterposerSpec::for_kind(tech);
-            let placement = diemap::place_dies_with(&spec);
-            assert_eq!(
-                serde_json::to_string(&layout.pdn).unwrap(),
-                serde_json::to_string(&PdnPlan::generate_with(&spec, placement.footprint_um))
-                    .unwrap(),
-                "{tech}"
-            );
+            // Cost reads the area from placement alone; it must equal
+            // the routed layout's.
+            let placement = diemap::place_dies_with(&InterposerSpec::for_kind(tech));
             assert_eq!(layout.stats.area_mm2, placement.area_mm2(), "{tech}");
         }
     }
@@ -211,15 +184,20 @@ mod tests {
     #[test]
     fn worst_net_lengths_have_paper_ordering() {
         // Table V wirelengths: Glass 3D L2L 582 µm worst; Glass 2.5D L2M
-        // 5,980 µm worst; Silicon 2.5D L2M 1,952 µm.
+        // 5,980 µm worst; Silicon 2.5D L2M 1,952 µm. Glass 3D L2M is a
+        // three-level stacked via column, which the router never routes.
         let g3 = test_layout(InterposerKind::Glass3D);
         let g25 = test_layout(InterposerKind::Glass25D);
         let si = test_layout(InterposerKind::Silicon25D);
         let g3_l2l = g3.worst_net_um(NetClass::InterTile);
-        let g3_l2m = g3.worst_net_um(NetClass::IntraTileStackedVia);
+        let (_, _, _, g3_l2m) =
+            techlib::via::stacked_via_column(&InterposerSpec::for_kind(InterposerKind::Glass3D), 3);
         let g25_l2m = g25.worst_net_um(NetClass::IntraTileLateral);
         let si_l2m = si.worst_net_um(NetClass::IntraTileLateral);
-        assert!(g3_l2m < 100.0, "stacked via column: {g3_l2m}");
+        assert!(
+            (1.0..100.0).contains(&g3_l2m),
+            "stacked via column: {g3_l2m}"
+        );
         assert!(g3_l2l < g25_l2m, "{g3_l2l} vs {g25_l2m}");
         assert!(si_l2m < g25_l2m, "{si_l2m} vs {g25_l2m}");
     }

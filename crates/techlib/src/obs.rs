@@ -389,64 +389,45 @@ pub fn stats_table() -> String {
     out
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Serializes everything recorded so far as a Chrome trace-event JSON
 /// document: one `"ph":"X"` duration event per span (the scenario label
 /// in `args.scenario`) and one `"ph":"C"` counter event per registered
-/// counter. Hand-rolled here because `techlib` depends on no JSON
-/// library; the output is plain ASCII-escaped JSON.
+/// counter.
 pub fn chrome_trace_json() -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for record in snapshot_spans() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":");
-        push_json_str(&mut out, record.stage);
-        let _ = write!(
-            out,
+    let now_us = span_us(epoch().elapsed().as_micros());
+    trace_json(&snapshot_spans(), &counter_totals(), now_us)
+}
+
+/// The trace document of `spans` and `counters`, the counters stamped
+/// at `now_us`.
+fn trace_json(spans: &[SpanRecord], counters: &[(&str, u64)], now_us: u64) -> String {
+    let mut w = serde::Writer::new(false);
+    w.raw("{\"traceEvents\":");
+    let mut events = w.open('[');
+    for record in spans {
+        w.elem(&mut events);
+        w.raw("{\"name\":");
+        w.str(record.stage);
+        w.raw(&format!(
             ",\"cat\":\"flow\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
             record.start_us, record.dur_us, record.worker
-        );
-        out.push_str(",\"args\":{\"scenario\":");
-        push_json_str(&mut out, record.label.as_deref().unwrap_or(""));
-        out.push_str("}}");
+        ));
+        w.raw(",\"args\":{\"scenario\":");
+        w.str(record.label.as_deref().unwrap_or(""));
+        w.raw("}}");
     }
-    let now_us = span_us(epoch().elapsed().as_micros());
-    for (name, value) in counter_totals() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":");
-        push_json_str(&mut out, name);
-        let _ = write!(
-            out,
+    for &(name, value) in counters {
+        w.elem(&mut events);
+        w.raw("{\"name\":");
+        w.str(name);
+        w.raw(&format!(
             ",\"cat\":\"counters\",\"ph\":\"C\",\"ts\":{now_us},\"pid\":1,\
              \"args\":{{\"value\":{value}}}}}"
-        );
+        ));
     }
-    out.push_str("]}");
-    out
+    w.close(events);
+    w.raw("}");
+    w.into_string()
 }
 
 #[cfg(test)]
@@ -574,8 +555,25 @@ mod tests {
 
     #[test]
     fn json_strings_escape_control_and_quote_characters() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        let label = "a\"b\\c\nd\te\u{1}";
+        let record = SpanRecord {
+            stage: "stage.test",
+            label: Some(label.into()),
+            worker: 1,
+            start_us: 0,
+            dur_us: 0,
+        };
+        let trace = trace_json(&[record], &[], 0);
+        // The whole document parses, and the label reads back intact.
+        let mut r = serde::Reader::new(&trace);
+        r.skip().unwrap();
+        r.finish().unwrap();
+        let key = "\"scenario\":";
+        let at = trace.find(key).unwrap() + key.len();
+        assert_eq!(serde::Reader::new(&trace[at..]).string().unwrap(), label);
+        assert!(
+            trace.contains(r#""scenario":"a\"b\\c\nd\te\u0001""#),
+            "{trace}"
+        );
     }
 }

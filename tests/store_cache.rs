@@ -7,7 +7,7 @@
 
 use chiplet::report::REPORTS;
 use codesign::batch;
-use codesign::context::{FrontEnd, StudyContext, NETLISTS, SPLIT, STAGES};
+use codesign::context::{ComputeCounts, FrontEnd, StudyContext, NETLISTS, SPLIT, STAGES};
 use codesign::scenario::{Scenario, ScenarioOverrides};
 use codesign::table5::{MonitorLengths, LINKS};
 use interposer::report::LAYOUT;
@@ -165,21 +165,25 @@ fn artifacts_ignore_the_fields_their_projections_leave_out() {
         }
     }
 
-    // The layout records the spec it was routed against; apart from
-    // that record, a loss-tangent change leaves the Glass 3D layout
-    // untouched.
-    let base = InterposerSpec::for_kind(InterposerKind::Glass3D);
-    let layout_json = |spec: &InterposerSpec| {
-        let mut layout = interposer::report::place_and_route_with(spec).unwrap();
-        layout.spec = base.clone();
-        layout.pdn.spec = base.clone();
-        serde_json::to_string(&layout).unwrap()
-    };
-    assert!(!LAYOUT.projection.contains(&SpecField::LossTangent));
-    assert!(
-        layout_json(&perturbed(&base, SpecField::LossTangent)) == layout_json(&base),
-        "Glass 3D layout depends on loss_tangent"
-    );
+    // The layout holds no spec and no PDN plan, so it must be the same
+    // bytes under every field its key leaves out: the stack-up and the
+    // loss tangent.
+    for tech in [InterposerKind::Glass3D, InterposerKind::Silicon25D] {
+        let layout_json = |spec: &InterposerSpec| {
+            serde_json::to_string(&interposer::report::place_and_route_with(spec).unwrap()).unwrap()
+        };
+        let base = InterposerSpec::for_kind(tech);
+        let layout_base = layout_json(&base);
+        for field in SpecField::ALL {
+            if !LAYOUT.projection.contains(&field) {
+                assert!(
+                    layout_json(&perturbed(&base, field)) == layout_base,
+                    "{tech:?}: layout depends on {}",
+                    field.name()
+                );
+            }
+        }
+    }
 }
 
 /// The SI-links key hashes the channel descriptors and the full spec of
@@ -219,6 +223,55 @@ fn loss_tangent_moves_the_links_key_but_not_the_layout_key() {
     );
 }
 
+/// Runs `scenarios` on contexts that share one in-memory store and one
+/// front end. Returns the compute counts of the whole run and the
+/// store's stats.
+fn run_sharing_one_store(scenarios: &[Scenario]) -> (ComputeCounts, StoreStats) {
+    let store = Arc::new(ArtifactStore::in_memory());
+    let shared = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
+    let contexts: Vec<StudyContext> = scenarios
+        .iter()
+        .map(|s| StudyContext::for_scenario_with(s, Arc::clone(&shared), Some(Arc::clone(&store))))
+        .collect();
+    for (ctx, scenario) in contexts.iter().zip(scenarios) {
+        batch::run_in_context(ctx, scenario).unwrap();
+    }
+    // The front-end counters live on the shared front end, which every
+    // context reports; the other stages' counters are per-context and
+    // sum over the run.
+    let front = contexts[0].compute_counts();
+    let zero = ComputeCounts {
+        reports: 0,
+        layouts: 0,
+        links: 0,
+        thermal: 0,
+        ..front
+    };
+    let sums = contexts
+        .iter()
+        .map(StudyContext::compute_counts)
+        .fold(zero, |acc, c| ComputeCounts {
+            reports: acc.reports + c.reports,
+            layouts: acc.layouts + c.layouts,
+            links: acc.links + c.links,
+            thermal: acc.thermal + c.thermal,
+            ..acc
+        });
+    (sums, store.stats())
+}
+
+/// A Glass 2.5D scenario with `overrides`.
+fn glass25d_with(name: String, overrides: ScenarioOverrides) -> Scenario {
+    Scenario::new(
+        name,
+        InterposerKind::Glass25D,
+        MonitorLengths::Routed,
+        overrides,
+        Vec::new(),
+    )
+    .unwrap()
+}
+
 /// Eight scenarios that differ *only* in an SI knob (loss tangent) must
 /// perform exactly one split, one chipletization, one chiplet-report
 /// analysis, one placement+route, and one thermal solve between them —
@@ -226,52 +279,61 @@ fn loss_tangent_moves_the_links_key_but_not_the_layout_key() {
 /// scenario still simulates its own links.
 #[test]
 fn si_only_sweep_shares_the_physical_prefix_across_scenarios() {
-    let tech = InterposerKind::Glass25D;
     let scenarios: Vec<Scenario> = (0..8)
         .map(|i| {
-            Scenario::new(
+            glass25d_with(
                 format!("tan{i}"),
-                tech,
-                MonitorLengths::Routed,
                 ScenarioOverrides {
                     loss_tangent: Some(0.003 + 0.000_5 * i as f64),
                     ..Default::default()
                 },
-                Vec::new(),
             )
-            .unwrap()
         })
         .collect();
-    let store = Arc::new(ArtifactStore::in_memory());
-    let shared = Arc::new(FrontEnd::with_store(Arc::clone(&store)));
-    let contexts: Vec<StudyContext> = scenarios
-        .iter()
-        .map(|s| StudyContext::for_scenario_with(s, Arc::clone(&shared), Some(Arc::clone(&store))))
-        .collect();
-    for (ctx, scenario) in contexts.iter().zip(&scenarios) {
-        batch::run_in_context(ctx, scenario).unwrap();
-    }
-
-    // The front-end counters live on the shared front end, which every
-    // context reports; the other stages' counters are per-context and
-    // must sum to one compute for every store-shared stage.
-    let front = contexts[0].compute_counts();
-    assert_eq!(front.split, 1, "split ran more than once");
-    assert_eq!(front.netlists, 1);
-    let sums = contexts
-        .iter()
-        .map(StudyContext::compute_counts)
-        .fold((0, 0, 0, 0), |(r, l, k, t), c| {
-            (r + c.reports, l + c.layouts, k + c.links, t + c.thermal)
-        });
-    assert_eq!(sums.0, 1, "chiplet reports not shared");
-    assert_eq!(sums.1, 1, "placement/route not shared");
-    assert_eq!(sums.3, 1, "thermal solve not shared");
+    let (sums, stats) = run_sharing_one_store(&scenarios);
+    assert_eq!(sums.split, 1, "split ran more than once");
+    assert_eq!(sums.netlists, 1);
+    assert_eq!(sums.reports, 1, "chiplet reports not shared");
+    assert_eq!(sums.layouts, 1, "placement/route not shared");
+    assert_eq!(sums.thermal, 1, "thermal solve not shared");
     // Loss tangent is a genuine link input: every scenario simulates.
-    assert_eq!(sums.2, scenarios.len(), "distinct links wrongly shared");
-    let stats = store.stats();
+    assert_eq!(sums.links, scenarios.len(), "distinct links wrongly shared");
     assert!(stats.mem_hits > 0, "sharing never hit memory: {stats:?}");
     assert_eq!(stats.disk_hits, 0, "in-memory store claims disk hits");
+}
+
+/// Scenarios that differ only in the stack-up (metal and dielectric
+/// thickness, dielectric constant, core thickness) route once between
+/// them: placement, grid and router read none of those fields. Each
+/// stack-up changes the channels, so every scenario simulates its links.
+#[test]
+fn stack_up_sweep_routes_once() {
+    let scenarios = [
+        ScenarioOverrides {
+            metal_thickness_um: Some(5.0),
+            ..Default::default()
+        },
+        ScenarioOverrides {
+            dielectric_thickness_um: Some(20.0),
+            ..Default::default()
+        },
+        ScenarioOverrides {
+            dielectric_constant: Some(3.5),
+            ..Default::default()
+        },
+        ScenarioOverrides {
+            core_thickness_um: Some(300.0),
+            ..Default::default()
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, overrides)| glass25d_with(format!("stack{i}"), overrides))
+    .collect::<Vec<_>>();
+    let (sums, stats) = run_sharing_one_store(&scenarios);
+    assert_eq!(sums.layouts, 1, "stack-up scenarios re-routed");
+    assert_eq!(sums.links, scenarios.len(), "distinct links wrongly shared");
+    assert!(stats.mem_hits > 0, "sharing never hit memory: {stats:?}");
 }
 
 /// The three scenarios of the identity test: a paper default, a
