@@ -19,6 +19,12 @@ CARGO_TARGET_DIR="$PWD/target" cargo test --release -q --manifest-path perfbench
 echo "==> cargo test -q"
 cargo test -q
 
+# The benches are plain `main`s with no harness: run each once in the
+# dev build the tests just made, so a bench that no longer runs fails
+# here. `router_kernel` (about a minute) stays a manual run.
+echo "==> benches, one run each (dev build)"
+cargo test -q -p bench --bench thermal_kernel --bench render_kernel --bench bench_signal_power
+
 # The thermal field digests and the energy-balance invariant pin float
 # arithmetic, so they also run under the optimised code users get.
 echo "==> cargo test --release -q -p thermal"

@@ -4,10 +4,10 @@
 //!
 //! Two bodies: the smoke scenarios (`examples/smoke_scenarios.json`, the
 //! body `ci.sh` and the serve tests post) and the six paper studies
-//! (`Scenario::paper` for every packaged technology). Each sample times
-//! `RENDERS` calls one by one; the line printed per body is the median
-//! call. This is the rendering share of a warm `serve` request (the
-//! traced `batch.render_ms` layer metric).
+//! (`Scenario::paper` for every packaged technology). Each case times
+//! `RENDERS` calls one by one after a warm-up call; the line printed per
+//! body is the median call. This is the rendering share of a warm
+//! `serve` request (the traced `batch.render_ms` layer metric).
 //!
 //! The `floats` case writes the smoke body's floats, collected once
 //! into a `Vec<f64>`, with `serde_json::to_string`, and also reports ns
@@ -19,26 +19,25 @@
 //! `--cache-dir` disk hit does), then their ratio. Run with
 //! `cargo bench -p bench --bench render_kernel`.
 
+use bench::time_calls;
 use codesign::batch;
 use codesign::context::StudyContext;
 use codesign::scenario::scenarios_from_json;
 use codesign::Scenario;
-use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use interposer::report::InterposerLayout;
 use serde_json::{Number, Value};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 use techlib::spec::InterposerKind;
 
-/// Calls timed per criterion sample.
-const RENDERS: usize = 100;
+/// Calls timed per case.
+const RENDERS: usize = 500;
 
 const SMOKE: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../examples/smoke_scenarios.json"
 ));
 
-fn bench_render_kernel(c: &mut Criterion) {
+fn main() {
     let bodies = [
         (
             "smoke",
@@ -49,13 +48,11 @@ fn bench_render_kernel(c: &mut Criterion) {
             InterposerKind::PACKAGED.map(Scenario::paper).to_vec(),
         ),
     ];
-    let mut g = c.benchmark_group("render_kernel");
-    g.sample_size(5);
     let mut smoke_body = String::new();
     for (name, scenarios) in bodies {
         let outcomes = batch::run(&scenarios).expect("the batch runs");
         let body = batch::sweep_json(&scenarios, &outcomes).expect("studies serialize");
-        time_calls(&mut g, name, "sweep_json", body.len(), || {
+        median_call(name, "sweep_json", body.len(), || {
             batch::sweep_json(&scenarios, &outcomes).expect("studies serialize")
         });
         if name == "smoke" {
@@ -69,7 +66,7 @@ fn bench_render_kernel(c: &mut Criterion) {
         &mut floats,
     );
     let text = serde_json::to_string(&floats).expect("floats serialize");
-    let write = time_calls(&mut g, "floats", "write", text.len(), || {
+    let write = median_call("floats", "write", text.len(), || {
         serde_json::to_string(black_box(&floats)).expect("floats serialize")
     });
     println!(
@@ -83,10 +80,10 @@ fn bench_render_kernel(c: &mut Criterion) {
         .layout(InterposerKind::Silicon25D)
         .expect("the Silicon 2.5D layout routes");
     let text = serde_json::to_string(&*layout).expect("the layout serializes");
-    let write = time_calls(&mut g, "layout_write", "write", text.len(), || {
+    let write = median_call("layout_write", "write", text.len(), || {
         serde_json::to_string(&*layout).expect("the layout serializes")
     });
-    let parse = time_calls(&mut g, "layout_parse", "parse", text.len(), || {
+    let parse = median_call("layout_parse", "parse", text.len(), || {
         serde_json::from_str_typed::<InterposerLayout>(black_box(&text)).expect("the layout parses")
     });
     println!(
@@ -94,7 +91,6 @@ fn bench_render_kernel(c: &mut Criterion) {
         "render_kernel/layout",
         parse / write
     );
-    g.finish();
 }
 
 /// Appends every float in `value` to `out`, in document order.
@@ -107,28 +103,10 @@ fn collect_floats(value: &Value, out: &mut Vec<f64>) {
     }
 }
 
-/// Times `call` `RENDERS` times per criterion sample under `id`, one
-/// call at a time (the drop of its result is not timed), and prints the
-/// median call in µs and in ns per byte of `bytes`. Returns the median
-/// in seconds.
-fn time_calls<T>(
-    g: &mut BenchmarkGroup<'_>,
-    id: &str,
-    op: &str,
-    bytes: usize,
-    mut call: impl FnMut() -> T,
-) -> f64 {
-    let mut calls: Vec<Duration> = Vec::new();
-    g.bench_function(id, |b| {
-        b.iter(|| {
-            for _ in 0..RENDERS {
-                let start = Instant::now();
-                let out = call();
-                calls.push(start.elapsed());
-                black_box(out);
-            }
-        })
-    });
+/// Times `call` `RENDERS` times under `id` and prints the median call
+/// in µs and in ns per byte of `bytes`. Returns the median in seconds.
+fn median_call<T>(id: &str, op: &str, bytes: usize, call: impl FnMut() -> T) -> f64 {
+    let mut calls = time_calls(RENDERS, call);
     calls.sort_unstable();
     let median = calls[calls.len() / 2].as_secs_f64();
     println!(
@@ -141,6 +119,3 @@ fn time_calls<T>(
     );
     median
 }
-
-criterion_group!(render_kernel, bench_render_kernel);
-criterion_main!(render_kernel);

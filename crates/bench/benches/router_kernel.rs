@@ -8,13 +8,15 @@
 //! built once per technology, outside the timed region. Run with
 //! `cargo bench -p bench --bench router_kernel`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::time_calls;
 use interposer::diemap::place_dies;
 use interposer::grid::RoutingGrid;
 use interposer::router::route_all;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use techlib::spec::{InterposerKind, InterposerSpec};
+
+/// Timed `route_all` calls per technology.
+const SAMPLES: u32 = 3;
 
 /// Current value of the `router.heap_pops` counter.
 fn heap_pops() -> u64 {
@@ -24,37 +26,27 @@ fn heap_pops() -> u64 {
         .map_or(0, |(_, n)| n)
 }
 
-fn bench_router_kernel(c: &mut Criterion) {
+fn main() {
     techlib::obs::enable();
-    let mut g = c.benchmark_group("router_kernel");
-    g.sample_size(3);
     for tech in InterposerKind::INTERPOSER_BASED {
         let placement = place_dies(tech);
         let grid = RoutingGrid::new(placement.footprint_um, &InterposerSpec::for_kind(tech))
             .expect("paper placements have a usable routing grid");
-        let mut routing = Duration::ZERO;
-        let mut calls = 0u32;
         let pops_before = heap_pops();
-        g.bench_function(tech.to_string(), |b| {
-            b.iter(|| {
-                let start = Instant::now();
-                let routed = black_box(route_all(&placement, &grid).expect("paper nets route"));
-                routing += start.elapsed();
-                calls += 1;
-                routed
-            })
-        });
-        let pops = heap_pops() - pops_before;
+        let routing: Duration = time_calls(SAMPLES as usize, || {
+            route_all(&placement, &grid).expect("paper nets route")
+        })
+        .into_iter()
+        .sum();
+        // Every call, the warm-up included, routes the same nets with
+        // the same pops.
+        let pops = (heap_pops() - pops_before) / u64::from(SAMPLES + 1);
         println!(
             "{:<40} {:>8.1} ms/route_all  {:>6.1} ns/pop  ({} pops)",
             format!("router_kernel/{tech}"),
-            routing.as_secs_f64() * 1e3 / f64::from(calls),
-            routing.as_secs_f64() * 1e9 / pops as f64,
-            pops / u64::from(calls),
+            routing.as_secs_f64() * 1e3 / f64::from(SAMPLES),
+            routing.as_secs_f64() * 1e9 / (pops * u64::from(SAMPLES)) as f64,
+            pops,
         );
     }
-    g.finish();
 }
-
-criterion_group!(router_kernel, bench_router_kernel);
-criterion_main!(router_kernel);

@@ -10,13 +10,10 @@
 //! * [`footprint`] — the footprint solver: a die is either bump-limited
 //!   (array side × pitch) or cell-area-limited (utilisation cap), and
 //!   stacked configurations force matched footprints (Table II areas).
-//! * [`placement`] — a simulated-annealing cluster placer (HPWL objective)
-//!   used for macro planning and to validate the wirelength model.
 //! * [`wirelength`] — the congestion-aware routed-wirelength model
 //!   (Table III wirelength, including the glass small-die detour effect).
 //! * [`timing`] — STA-lite achieved-frequency model (Table III Fmax).
 //! * [`power`] — internal/switching/leakage decomposition (Table III).
-//! * [`tsv3d`] — Silicon 3D bump/TSV region partitioning (Fig. 8).
 //! * [`report`] — one-call [`report::analyze`] producing a Table III row.
 //!
 //! # Example
@@ -39,12 +36,9 @@
 
 pub mod bumpmap;
 pub mod footprint;
-pub mod macro_plan;
-pub mod placement;
 pub mod power;
 pub mod report;
 pub mod timing;
-pub mod tsv3d;
 pub mod wirelength;
 
 pub use bumpmap::{BumpPlan, BumpRole};
@@ -54,7 +48,8 @@ pub use report::ChipletReport;
 /// Errors produced by chiplet physical design.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChipletError {
-    /// Macro placement (or die sizing) could not fit the request.
+    /// Physical design could not fit the logic/memory pair on its dies
+    /// (today raised only by the `chiplet.place` fault site).
     PlacementInfeasible {
         /// Signal bumps needing AIB macros.
         signals: usize,

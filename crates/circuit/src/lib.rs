@@ -45,7 +45,6 @@ pub mod driver;
 pub mod matrix;
 pub mod mna;
 pub mod netlist;
-pub mod parser;
 pub mod tline;
 pub mod tran;
 pub mod twoport;

@@ -61,8 +61,11 @@ pub enum FlowError {
     Route(interposer::RouteError),
     /// Circuit simulation failed (other than a singular system).
     Circuit(circuit::CircuitError),
-    /// A SPICE-lite deck failed to parse.
-    Parse(circuit::parser::ParseError),
+    /// The monitored channels of a study could not be extracted.
+    Extraction {
+        /// Description of the problem.
+        reason: String,
+    },
     /// A linear system was singular.
     Singular {
         /// Pivot index where elimination failed.
@@ -101,7 +104,7 @@ impl std::fmt::Display for FlowError {
             FlowError::Netlist(e) => write!(f, "netlist: {e}"),
             FlowError::Route(e) => write!(f, "routing: {e}"),
             FlowError::Circuit(e) => write!(f, "simulation: {e}"),
-            FlowError::Parse(e) => write!(f, "parse: {e}"),
+            FlowError::Extraction { reason } => write!(f, "channel extraction: {reason}"),
             FlowError::Singular { pivot } => {
                 write!(f, "singular system at pivot {pivot}")
             }
@@ -142,12 +145,6 @@ impl From<circuit::CircuitError> for FlowError {
             circuit::CircuitError::SingularMatrix { pivot } => FlowError::Singular { pivot },
             other => FlowError::Circuit(other),
         }
-    }
-}
-
-impl From<circuit::parser::ParseError> for FlowError {
-    fn from(e: circuit::parser::ParseError) -> FlowError {
-        FlowError::Parse(e)
     }
 }
 

@@ -60,12 +60,10 @@ pub fn channels_for_in(
     mode: MonitorLengths,
 ) -> Result<(ChannelKind, ChannelKind), FlowError> {
     if techlib::faults::armed("extract.channels") {
-        // Injected fault: report the monitored-net extraction as a deck
-        // parse failure, the shape a malformed channel table produces.
-        return Err(FlowError::Parse(circuit::parser::ParseError {
-            line: 0,
-            reason: format!("injected channel-extraction fault for {tech}"),
-        }));
+        // Injected fault: the monitored-net extraction fails.
+        return Err(FlowError::Extraction {
+            reason: format!("injected fault for {tech}"),
+        });
     }
     match ctx.spec(tech).stacking {
         Stacking::TsvStack => Ok((ChannelKind::MicroBump, ChannelKind::BackToBackTsv)),

@@ -643,7 +643,7 @@ fn uncommit(grid: &RoutingGrid, net: &RoutedNet, usage: &mut [f64]) {
 }
 
 /// True when `net`'s committed path touches any overflowed node — the
-/// rip-up criterion of the incremental reroute. Checks exactly the
+/// rip-up rule of the incremental reroute. Checks exactly the
 /// nodes [`accumulate_path`] charged.
 fn crosses_overflow(grid: &RoutingGrid, net: &RoutedNet, overflowed: &[bool]) -> bool {
     net.path.windows(2).any(|w| {

@@ -12,7 +12,7 @@ use serde::Serialize;
 use techlib::calib;
 use techlib::spec::{InterposerKind, InterposerSpec};
 
-/// Settling criterion: cycle-mean within this many volts of final.
+/// Settling rule: cycle-mean within this many volts of final.
 pub const SETTLE_BAND_V: f64 = 2e-3;
 
 /// Transient PDN results for one technology.

@@ -13,7 +13,6 @@
 //!   Table VI.
 
 pub mod eye;
-pub mod jitter;
 pub mod link;
 pub mod material_study;
 pub mod rlgc;

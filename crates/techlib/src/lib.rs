@@ -33,7 +33,6 @@ pub mod iodriver;
 pub mod material;
 pub mod obs;
 pub mod par;
-pub mod reliability;
 pub mod scope;
 pub mod spec;
 pub mod stackup;

@@ -189,6 +189,17 @@ fn environment_armed_fault_fails_the_run_with_a_typed_error() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // The channel-extraction site fails with its own typed error.
+    let out = codesign()
+        .arg("glass25d")
+        .env("CODESIGN_FAULTS", "extract.channels")
+        .output()
+        .expect("codesign runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("channel extraction:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -107,35 +107,6 @@ proptest! {
         let g = explode(&d, cluster_cells, seed);
         prop_assert!((g.total_weight() - d.total_cells() as f64).abs() < 1e-6);
     }
-
-    /// The SPICE parser never panics: any byte soup either parses or
-    /// returns a typed `ParseError`. The soup is biased toward
-    /// SPICE-looking fragments (element letters, node tokens, numeric
-    /// suffixes, directives) so malformed-but-plausible decks are hit
-    /// far more often than uniform noise would manage.
-    #[test]
-    fn parser_never_panics_on_byte_soup(seed in 0u64..u64::MAX, len in 0usize..512) {
-        // xorshift64* — `rand` is not a dependency of this binary, and
-        // the generator must be reproducible from the proptest seed.
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545F4914F6CDD1D)
-        };
-        const VOCAB: &[&str] = &[
-            "R", "C", "L", "V", "I", "E", "G", "X", ".tran", ".ac", ".dc", ".end",
-            "1", "0", "n1", "out", "gnd", "1k", "2.2u", "10meg", "1e", "-", ".",
-            "PULSE(", ")", "SIN(", "*", "\n", " ", "\t", "\u{0}", "é",
-        ];
-        let mut text = String::new();
-        for _ in 0..len {
-            text.push_str(VOCAB[(next() % VOCAB.len() as u64) as usize]);
-        }
-        // Must return — Ok or Err both fine; a panic fails the test.
-        let _ = circuit::parser::parse(&text);
-    }
 }
 
 #[test]

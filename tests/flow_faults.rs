@@ -32,7 +32,7 @@ fn expected(site: &str, err: &FlowError) -> bool {
         }
         "router.escape" => *err == FlowError::Unroutable { net: 0 },
         "extract.channels" => {
-            matches!(err, FlowError::Parse(e) if e.line == 0 && e.reason.contains("injected"))
+            matches!(err, FlowError::Extraction { reason } if reason.contains("injected"))
         }
         "si.link" | "circuit.lu" => *err == FlowError::Singular { pivot: 0 },
         "thermal.solve" | "thermal.sor" => {
